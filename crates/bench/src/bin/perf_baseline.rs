@@ -1,61 +1,47 @@
 //! Records the performance baseline for all paper configurations into a
-//! machine-readable report (`BENCH_univsa.json` at the repo root).
+//! machine-readable report (`BENCH_univsa.json` at the repo root), schema
+//! `univsa-perf-baseline/v7`.
 //!
-//! For every Table I task this measures:
+//! Top level: `schema`, `quick` (whether `UNIVSA_QUICK=1` produced it),
+//! `seed`, the worker-pool width and where it came from
+//! (`threads`/`threads_source`), the SIMD `kernel_tier` active while
+//! measuring, `total_seconds`, the process `peak_rss_bytes` (`VmHWM` from
+//! `/proc/self/status`, `null` off Linux), the `git_commit` when run in a
+//! git checkout, the `trace` path when `--trace PATH` captured a Chrome
+//! trace-event JSON of the whole sweep, per-stage pool utilization
+//! (`pool`, from [`univsa_par::stats`], also bridged into telemetry
+//! counters), and — with `--workers N` — a `fleet` block from a probe-job
+//! sweep over the supervised worker fleet (slot count, spawns, retries,
+//! crashes, forwarded `fleet.*` job and allocation counters, dropped
+//! telemetry batches).
 //!
-//! * training wall time with the harness epoch budget,
-//! * held-out accuracy,
-//! * exact per-sample inference latency percentiles (mean/p50/p90/p99),
-//! * simulated hardware cycles (single-sample latency, initiation
-//!   interval, streamed-schedule makespan).
+//! One row per Table I task:
 //!
-//! Schema `univsa-perf-baseline/v6` adds a per-task `quality` block from
-//! the prediction-quality plane: the winner/runner-up similarity margin
-//! over the held-out split through the packed engine
-//! (`quality.{mean_margin,margin_p50,margin_p99}` — margins are exact
-//! integers, so these are deterministic for a seeded model), and a
-//! seeded drift-injection probe (`quality.drift`): the task's
-//! [`univsa_data::tasks::drift_stream`] with a fixed mid-stream
-//! corruption is replayed through the packed model into a
-//! [`univsa_telemetry::DriftDetector`], recording the detection latency
-//! in samples after onset (`null` when undetected). Accuracy and cycle
-//! figures are computed exactly as in v5, so regenerating a v5 baseline
-//! as v6 leaves them bit-identical.
+//! * `train_seconds`/`epochs` — training wall time with the harness
+//!   epoch budget, and `train_speedup` against the report previously at
+//!   the output path, when there is one;
+//! * `test_accuracy` — held-out accuracy;
+//! * `latency_us` — exact per-sample latency percentiles
+//!   (mean/p50/p90/p99) of the compiled [`univsa::PackedModel`], the
+//!   engine every surface deploys (compiled once, outside the timed loop);
+//! * `hw_cycles` — simulated single-sample latency, initiation interval
+//!   and streamed-schedule makespan;
+//! * `mem` — the counting allocator's peak heap bytes and allocation
+//!   count over the task's measurement window;
+//! * `footprint` — the trained model's Eq. 5 bits against its resident
+//!   bits, per component ([`univsa::FootprintAudit`]);
+//! * `quality` — the winner/runner-up similarity margin over the held-out
+//!   split (exact integers, so deterministic for a seeded model) and a
+//!   seeded drift-injection probe: the task's
+//!   [`univsa_data::tasks::drift_stream`] with a fixed mid-stream
+//!   corruption replayed into a [`univsa_telemetry::DriftDetector`],
+//!   recording the detection latency in samples after onset (`null` when
+//!   undetected).
 //!
-//! Schema `univsa-perf-baseline/v5` measures both inference engines:
-//! `latency_us` stays the reference stage-by-stage path (so the column
-//! remains comparable across every report version), while
-//! `latency_packed_us` times the same test split through the
-//! ahead-of-time compiled [`univsa::PackedModel`] (SIMD XNOR+popcount
-//! slabs). The top-level `infer_engine` field names the engine
-//! `Model::evaluate` uses in this build ("packed") and `kernel_tier`
-//! records the SIMD dispatch tier that was active while measuring.
-//! The `univsa bench-diff` sentinel gates packed p99 against reference
-//! p99 *within* a v5 report. Accuracy and cycle figures are computed
-//! exactly as before, so regenerating an older baseline as v5 leaves
-//! them bit-identical.
-//!
-//! Schema `univsa-perf-baseline/v4` additionally records the process
-//! peak RSS (`peak_rss_bytes`, from `/proc/self/status` on Linux, `null`
-//! elsewhere) and, per task, the counting-allocator figures — peak heap
-//! bytes and allocation count over the task's measurement window
-//! (`mem.{peak_alloc_bytes,alloc_count}`) — plus the trained model's
-//! footprint reconciliation (`footprint.{modeled_bits,actual_bits,
-//! ratio}` and per-component resident bits) from
-//! [`univsa::FootprintAudit`]. Cycle and accuracy figures are computed
-//! exactly as in v3, so regenerating a v3 baseline as v4 leaves them
-//! bit-identical. Schema v3 records the effective
-//! worker-pool thread count, per-task and total speedup against the
-//! previously committed report at the output path (v1/v2 reports parse
-//! fine — the extra fields are simply absent there), per-stage pool
-//! utilization (regions/chunks/busy/wall/occupancy from
-//! [`univsa_par::stats`], also bridged into `univsa-telemetry` counters),
-//! the git commit the report was produced from (when a git checkout is
-//! available), and — with `--trace PATH` — the path of a Chrome
-//! trace-event JSON capture of the whole sweep (causal spans from all
-//! three layers plus per-worker pool lanes), viewable in Perfetto or
-//! `chrome://tracing`. The `univsa bench-diff` sentinel consumes these
-//! reports and accepts every schema version published so far.
+//! Accuracy, cycle, footprint and quality figures depend only on the
+//! seed and configuration, so regenerating the report leaves them
+//! bit-identical; `univsa bench-diff` gates them and reads this schema
+//! only.
 //!
 //! The per-sample latency loop stays strictly serial: it times individual
 //! `infer` calls, and sharing cores with other samples would corrupt the
@@ -63,14 +49,8 @@
 //!
 //! Usage: `cargo run -p univsa-bench --release --bin perf_baseline
 //! [--out PATH] [--seed S] [--trace PATH] [--workers N] [--quiet]`.
-//! Honours `UNIVSA_QUICK=1` for a reduced-budget smoke run (the `quick`
-//! flag in the report records which mode produced it) and
-//! `UNIVSA_THREADS=N` for the pool width. With `--workers N` the run
-//! finishes with a probe-job sweep over the supervised worker fleet and
-//! records the forwarded per-worker telemetry rollups in an additive
-//! `fleet` block (slot count, spawns/retries/crashes, `fleet.*` job and
-//! allocation counters, dropped telemetry batches) — cycle and accuracy
-//! figures are untouched, so the schema stays v4.
+//! Honours `UNIVSA_QUICK=1` for a reduced-budget smoke run and
+//! `UNIVSA_THREADS=N` for the pool width.
 
 use std::time::Instant;
 
@@ -107,9 +87,7 @@ fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
 }
 
 /// Per-task `train_seconds` from a previously written report, if one is
-/// readable at `path`. Accepts every published schema version (the fields
-/// read here are common to all), so regenerating over an old baseline
-/// still yields speedup figures.
+/// readable at `path` (any schema version: only `train_seconds` is read).
 fn previous_train_seconds(path: &str) -> Vec<(String, f64)> {
     let Ok(bytes) = std::fs::read(path) else {
         return Vec::new();
@@ -189,11 +167,11 @@ fn peak_rss_bytes() -> Json {
     Json::Null
 }
 
-/// The per-task `quality` block (v6): winner/runner-up margin statistics
-/// over the held-out split through the packed engine, and the seeded
+/// The per-task `quality` block: winner/runner-up margin statistics over
+/// the held-out split through the packed engine, and the seeded
 /// drift-injection probe. Margins are exact integers from the same totals
 /// the accuracy figures come from, so the block is deterministic for a
-/// seeded model and never perturbs the v5 columns.
+/// seeded model.
 fn quality_json(
     task: &univsa_data::Task,
     packed: &PackedModel,
@@ -271,28 +249,18 @@ fn measure_task(task: &univsa_data::Task, seed: u64) -> Result<(Json, f64), UniV
     let t = Instant::now();
     let outcome = trainer.fit(&task.train, seed)?;
     let train_seconds = t.elapsed().as_secs_f64();
-    let accuracy = outcome.model.evaluate(&task.test)?;
-
+    // compile cost is paid once, outside the timed loop — deployment
+    // amortizes it too
+    let packed = PackedModel::compile(&outcome.model);
+    let accuracy = packed.evaluate(&task.test)?;
     let mut latencies_ns: Vec<u64> = Vec::with_capacity(task.test.len());
     for sample in task.test.samples() {
         let t = Instant::now();
-        let _ = outcome.model.infer(&sample.values)?;
+        let _ = packed.infer(&sample.values)?;
         latencies_ns.push(t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
     }
     latencies_ns.sort_unstable();
     let mean_ns = latencies_ns.iter().sum::<u64>() as f64 / latencies_ns.len() as f64;
-
-    // the same split through the compiled packed engine (compile cost is
-    // paid once, outside the timed loop — deployment amortizes it too)
-    let packed = PackedModel::compile(&outcome.model);
-    let mut packed_ns: Vec<u64> = Vec::with_capacity(task.test.len());
-    for sample in task.test.samples() {
-        let t = Instant::now();
-        let _ = packed.infer(&sample.values)?;
-        packed_ns.push(t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-    packed_ns.sort_unstable();
-    let packed_mean_ns = packed_ns.iter().sum::<u64>() as f64 / packed_ns.len() as f64;
 
     let quality = quality_json(task, &packed, seed)?;
 
@@ -330,24 +298,6 @@ fn measure_task(task: &univsa_data::Task, seed: u64) -> Result<(Json, f64), UniV
                 (
                     "p99".into(),
                     num_f(percentile(&latencies_ns, 0.99) as f64 / 1e3),
-                ),
-            ]),
-        ),
-        (
-            "latency_packed_us".into(),
-            Json::Obj(vec![
-                ("mean".into(), num_f(packed_mean_ns / 1e3)),
-                (
-                    "p50".into(),
-                    num_f(percentile(&packed_ns, 0.50) as f64 / 1e3),
-                ),
-                (
-                    "p90".into(),
-                    num_f(percentile(&packed_ns, 0.90) as f64 / 1e3),
-                ),
-                (
-                    "p99".into(),
-                    num_f(percentile(&packed_ns, 0.99) as f64 / 1e3),
                 ),
             ]),
         ),
@@ -568,12 +518,11 @@ fn main() {
         rows.push(Json::Obj(fields));
     }
     let mut fields = vec![
-        ("schema".into(), Json::Str("univsa-perf-baseline/v6".into())),
+        ("schema".into(), Json::Str("univsa-perf-baseline/v7".into())),
         ("quick".into(), Json::Bool(quick_mode())),
         ("seed".into(), num_u(seed)),
         ("threads".into(), num_u(threads as u64)),
         ("threads_source".into(), Json::Str(source.describe().into())),
-        ("infer_engine".into(), Json::Str("packed".into())),
         (
             "kernel_tier".into(),
             Json::Str(univsa_bits::kernels::active().name().into()),

@@ -5,38 +5,6 @@ use std::fmt;
 
 use univsa_bench::diff::Thresholds;
 
-/// Inference engine selection for the `infer` and `profile` surfaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Ahead-of-time compiled packed engine (SIMD XNOR+popcount slabs).
-    #[default]
-    Packed,
-    /// The original per-stage reference path.
-    Reference,
-}
-
-impl Engine {
-    /// Parses the `--engine` flag value.
-    pub fn parse(value: &str) -> Result<Self, ParseArgsError> {
-        match value.to_ascii_lowercase().as_str() {
-            "packed" => Ok(Engine::Packed),
-            "reference" => Ok(Engine::Reference),
-            _ => Err(ParseArgsError(format!(
-                "bad --engine {value:?} (expected packed or reference)"
-            ))),
-        }
-    }
-
-    /// Stable lower-case name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Packed => "packed",
-            Engine::Reference => "reference",
-        }
-    }
-}
-
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -57,14 +25,12 @@ pub enum Command {
         /// Output model path.
         out: String,
     },
-    /// `univsa infer --model m.uvsa --csv data.csv [--engine packed|reference]`
+    /// `univsa infer --model m.uvsa --csv data.csv`
     Infer {
         /// Saved model path (`.uvsa` model or `.uvsap` packed artifact).
         model: String,
         /// CSV dataset to classify.
         csv: String,
-        /// Inference engine (`--engine`; packed artifacts always run packed).
-        engine: Engine,
     },
     /// `univsa compile --model m.uvsa --out m.uvsap`
     Compile {
@@ -119,8 +85,6 @@ pub enum Command {
         /// worker processes, their telemetry forwarded and merged into
         /// the trace/summary (`--workers N`).
         workers: Option<usize>,
-        /// Inference engine for the latency loop (`--engine`).
-        engine: Engine,
         /// Serve live metrics over HTTP while the run is in flight
         /// (`--listen HOST:PORT` or `:PORT`).
         listen: Option<String>,
@@ -295,14 +259,14 @@ USAGE:
                [--epochs N] [--seed S]
   univsa train --csv DATA.csv --geometry W,L,C --config DH,DL,DK,O,THETA
                --out MODEL [--epochs N] [--seed S]
-  univsa infer --model MODEL --csv DATA.csv [--engine packed|reference]
+  univsa infer --model MODEL --csv DATA.csv
   univsa compile --model MODEL --out ARTIFACT
   univsa info  --model MODEL
   univsa rtl   --model MODEL --out-dir DIR
   univsa robustness --model MODEL --csv DATA.csv [--rates R1,R2,…] [--seed S]
   univsa profile --task <NAME> [--seed S] [--epochs N] [--samples N]
                  [--threads T] [--trace OUT.json] [--mem] [--workers N]
-                 [--engine packed|reference] [--listen ADDR]
+                 [--listen ADDR]
   univsa fleet-report --task <NAME> [--workers N] [--jobs N] [--seed S]
                  [--chaos SPEC]
   univsa search --task <NAME> [--workers N] [--population P] [--generations G]
@@ -321,19 +285,16 @@ USAGE:
                  [--max-latency-regress PCT|none] [--max-cycles-regress PCT|none]
                  [--max-accuracy-drop ABS|none] [--max-peak-alloc-regress PCT|none]
                  [--max-alloc-count-regress PCT|none] [--max-footprint-drift BITS|none]
-                 [--max-packed-over-reference PCT|none] [--max-margin-drop PCT|none]
-                 [--max-detect-latency-regress PCT|none]
+                 [--max-margin-drop PCT|none] [--max-detect-latency-regress PCT|none]
   univsa tasks
   univsa help
 
-`infer` defaults to the packed engine: the model is compiled ahead of
-time into level-indexed LUT rows, channel-masked kernel planes, and
+`infer` runs the packed engine: the model is compiled ahead of time
+into level-indexed LUT rows, channel-masked kernel planes, and
 bit-sliced majority counters, and each sample is classified with
 straight-line XNOR+popcount kernels (AVX2/NEON when available —
 selectable with the UNIVSA_KERNELS environment variable: `portable`,
-`native`, or an explicit tier). `--engine reference` runs the original
-stage-by-stage path instead; both produce bit-identical predictions.
-`compile` saves the lowered model as a standalone checksummed artifact
+`native`, or an explicit tier). `compile` saves the lowered model as a standalone checksummed artifact
 (magic UNIVSAPK) that `infer` accepts directly in place of a model.
 
 `profile` trains the task's paper configuration, reports per-epoch
@@ -420,25 +381,19 @@ weights (no training) and prints the Eq. 5 memory breakdown next to the
 footprint audit and BRAM reconciliation — the Table II memory column,
 component by component.
 
-`bench-diff` compares two perf_baseline reports (BENCH_univsa.json)
-metric by metric and exits nonzero when any gate fires: train wall time
-and p50/p99 latency (percent increase, default 25), hardware cycles
-(percent increase, default 0 — cycle counts are deterministic), and
-accuracy (absolute drop, default 0.02). v4 reports additionally gate
-peak heap allocation and allocation count (percent increase, default 10)
-and the model's resident footprint bits (absolute drift, default 0);
-when only one report carries memory figures those rows render `n/a` and
-never fire. v5 reports also gate the packed engine against the reference
-engine *within the candidate report* (packed p99 must not exceed the
-reference p99 measured in the same run, default 0% headroom); pre-v5
-candidates render that row `n/a`. v6 reports gate prediction quality:
-the mean winner/runner-up margin on the held-out split must not *drop*
-by more than 5% (`--max-margin-drop`), and the seeded drift probe's
-detection latency must not increase at all by default
-(`--max-detect-latency-regress`, percent — the probe is deterministic);
-when only one report carries quality figures, or the probe went
-undetected on one side, those rows render `n/a`. Pass `none` to disable
-a gate.
+`bench-diff` compares two perf_baseline reports (BENCH_univsa.json,
+schema univsa-perf-baseline/v7) metric by metric and exits nonzero when
+any gate fires: train wall time and packed-engine p50/p99 latency
+(percent increase, default 25), hardware cycles (percent increase,
+default 0 — cycle counts are deterministic), accuracy (absolute drop,
+default 0.02), peak heap allocation and allocation count (percent
+increase, default 10), the model's resident footprint bits (absolute
+drift, default 0), the mean winner/runner-up margin on the held-out
+split (percent *drop*, default 5, `--max-margin-drop`), and the seeded
+drift probe's detection latency (percent increase, default 0 — the probe
+is deterministic, `--max-detect-latency-regress`); when the probe went
+undetected on one side that row renders `n/a`. Pass `none` to disable a
+gate.
 
 Built-in tasks: EEGMMI, BCI-III-V, CHB-B, CHB-IB, ISOLET, HAR (synthetic,
 with the paper's Table I geometry). CSV format: one sample per line,
@@ -465,11 +420,10 @@ impl Command {
             "train" => parse_train(rest),
             "infer" => {
                 let flags = parse_flags(rest)?;
-                reject_unknown(&flags, &["model", "csv", "engine"], "infer")?;
+                reject_unknown(&flags, &["model", "csv"], "infer")?;
                 Ok(Command::Infer {
                     model: required(&flags, "model")?,
                     csv: required(&flags, "csv")?,
-                    engine: parse_engine(&flags)?,
                 })
             }
             "compile" => {
@@ -546,20 +500,16 @@ impl Command {
             "profile" => {
                 // `--mem` is a boolean switch; everything else is
                 // flag+value pairs
-                let mut mem = false;
-                let rest: Vec<String> = rest
-                    .iter()
-                    .filter(|a| {
-                        if a.as_str() == "--mem" {
-                            mem = true;
-                            false
-                        } else {
-                            true
-                        }
-                    })
-                    .cloned()
-                    .collect();
+                let (rest, mem) = take_switch(rest, "mem");
                 let flags = parse_flags(&rest)?;
+                reject_unknown(
+                    &flags,
+                    &[
+                        "task", "seed", "epochs", "samples", "threads", "trace", "workers",
+                        "listen",
+                    ],
+                    "profile",
+                )?;
                 let seed = match flags_get(&flags, "seed") {
                     Some(s) => s
                         .parse()
@@ -603,7 +553,6 @@ impl Command {
                     trace: flags_get(&flags, "trace"),
                     mem,
                     workers: parse_fleet_workers(&flags)?,
-                    engine: parse_engine(&flags)?,
                     listen: parse_listen(&flags)?,
                 })
             }
@@ -622,7 +571,7 @@ impl Command {
 }
 
 /// The threshold flags `bench-diff` accepts (everything else is a typo).
-const BENCH_DIFF_FLAGS: [&str; 10] = [
+const BENCH_DIFF_FLAGS: [&str; 9] = [
     "max-train-regress",
     "max-latency-regress",
     "max-cycles-regress",
@@ -630,18 +579,9 @@ const BENCH_DIFF_FLAGS: [&str; 10] = [
     "max-peak-alloc-regress",
     "max-alloc-count-regress",
     "max-footprint-drift",
-    "max-packed-over-reference",
     "max-margin-drop",
     "max-detect-latency-regress",
 ];
-
-/// Parses the optional `--engine` flag (defaults to the packed engine).
-fn parse_engine(flags: &Flags) -> Result<Engine, ParseArgsError> {
-    match flags_get(flags, "engine") {
-        Some(v) => Engine::parse(&v),
-        None => Ok(Engine::default()),
-    }
-}
 
 fn parse_bench_diff(rest: &[String]) -> Result<Command, ParseArgsError> {
     // two positional report paths, then threshold flags in any position
@@ -686,11 +626,6 @@ fn parse_bench_diff(rest: &[String]) -> Result<Command, ParseArgsError> {
             defaults.alloc_count_pct,
         )?,
         footprint_bits: parse_threshold(&flags, "max-footprint-drift", defaults.footprint_bits)?,
-        packed_over_ref_pct: parse_threshold(
-            &flags,
-            "max-packed-over-reference",
-            defaults.packed_over_ref_pct,
-        )?,
         margin_drop_pct: parse_threshold(&flags, "max-margin-drop", defaults.margin_drop_pct)?,
         detect_latency_pct: parse_threshold(
             &flags,
@@ -1268,7 +1203,6 @@ mod tests {
             Command::Infer {
                 model: "m".into(),
                 csv: "d.csv".into(),
-                engine: Engine::Packed,
             }
         );
         assert_eq!(
@@ -1285,18 +1219,22 @@ mod tests {
     }
 
     #[test]
-    fn infer_engine_flag_parses() {
-        match Command::parse(&argv("infer --model m --csv d.csv --engine reference")).unwrap() {
-            Command::Infer { engine, .. } => assert_eq!(engine, Engine::Reference),
-            other => panic!("wrong parse: {other:?}"),
+    fn removed_engine_flag_is_an_unknown_flag() {
+        for cmd in [
+            "infer --model m --csv d.csv --engine reference",
+            "infer --model m --csv d.csv --engine packed",
+            "profile --task eegmmi --engine reference",
+        ] {
+            let err = Command::parse(&argv(cmd)).unwrap_err();
+            assert!(
+                err.0.contains("unknown") && err.0.contains("--engine"),
+                "{cmd}: {err}"
+            );
         }
-        match Command::parse(&argv("infer --model m --csv d.csv --engine PACKED")).unwrap() {
-            Command::Infer { engine, .. } => assert_eq!(engine, Engine::Packed),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        let err = Command::parse(&argv("infer --model m --csv d.csv --engine turbo")).unwrap_err();
-        assert!(err.0.contains("--engine"));
         assert!(Command::parse(&argv("infer --model m --csv d.csv --bogus 1")).is_err());
+        let err =
+            Command::parse(&argv("bench-diff a b --max-packed-over-reference 5")).unwrap_err();
+        assert!(err.0.contains("unknown bench-diff flag"), "{err}");
     }
 
     #[test]
@@ -1362,13 +1300,12 @@ mod tests {
                 trace: None,
                 mem: false,
                 workers: None,
-                engine: Engine::Packed,
                 listen: None,
             }
         );
         let cmd = Command::parse(&argv(
             "profile --task ISOLET --seed 7 --epochs 5 --samples 16 --threads 4 \
-             --trace out.json --workers 4 --engine reference",
+             --trace out.json --workers 4 --mem",
         ))
         .unwrap();
         assert_eq!(
@@ -1380,9 +1317,8 @@ mod tests {
                 samples: 16,
                 threads: Some(4),
                 trace: Some("out.json".into()),
-                mem: false,
+                mem: true,
                 workers: Some(4),
-                engine: Engine::Reference,
                 listen: None,
             }
         );
@@ -1476,7 +1412,7 @@ mod tests {
             "bench-diff old.json new.json --max-train-regress none \
              --max-latency-regress 50 --max-cycles-regress 0 --max-accuracy-drop 0.01 \
              --max-peak-alloc-regress 20 --max-alloc-count-regress none \
-             --max-footprint-drift 64 --max-packed-over-reference 5 \
+             --max-footprint-drift 64 \
              --max-margin-drop 10 --max-detect-latency-regress none",
         ))
         .unwrap();
@@ -1493,7 +1429,6 @@ mod tests {
                     peak_alloc_pct: Some(20.0),
                     alloc_count_pct: None,
                     footprint_bits: Some(64.0),
-                    packed_over_ref_pct: Some(5.0),
                     margin_drop_pct: Some(10.0),
                     detect_latency_pct: None,
                 },

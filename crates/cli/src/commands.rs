@@ -21,7 +21,7 @@ use univsa_hw::{
 };
 use univsa_search::{EvolutionarySearch, Genome, SearchOptions, SearchResult, SearchSpace};
 
-use crate::args::{Engine, USAGE};
+use crate::args::USAGE;
 use crate::Command;
 
 /// Runs a parsed command, writing human-readable output to `out`.
@@ -101,50 +101,27 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn
             )?;
             Ok(())
         }
-        Command::Infer {
-            model,
-            csv: path,
-            engine,
-        } => {
+        Command::Infer { model, csv: path } => {
             let bytes = read_bytes(&model)?;
-            // a packed artifact is already lowered — it always runs packed;
-            // a model file honors --engine (packed compiles ahead of time)
-            let (packed, reference) = if is_packed_artifact(&bytes) {
-                (Some(load_packed(&bytes)?), None)
+            // a packed artifact is already lowered; a model file is
+            // compiled ahead of time
+            let packed = if is_packed_artifact(&bytes) {
+                load_packed(&bytes)?
             } else {
-                let model = load_model(&bytes)?;
-                match engine {
-                    Engine::Packed => (Some(PackedModel::compile(&model)), None),
-                    Engine::Reference => (None, Some(model)),
-                }
+                PackedModel::compile(&load_model(&bytes)?)
             };
-            let (width, length, classes, levels) = match (&packed, &reference) {
-                (Some(p), _) => (p.width(), p.length(), p.classes(), p.levels()),
-                (None, Some(m)) => {
-                    let cfg = m.config();
-                    (cfg.width, cfg.length, cfg.classes, cfg.levels)
-                }
-                (None, None) => unreachable!("one engine is always selected"),
-            };
-            match &packed {
-                Some(p) => writeln!(out, "engine: packed ({} kernels)", p.tier())?,
-                None => writeln!(out, "engine: reference")?,
-            }
+            writeln!(out, "engine: packed ({} kernels)", packed.tier())?;
             let spec = TaskSpec {
                 name: "csv".into(),
-                width,
-                length,
-                classes,
-                levels,
+                width: packed.width(),
+                length: packed.length(),
+                classes: packed.classes(),
+                levels: packed.levels(),
             };
             let data = csv::from_csv(&read_text(&path)?, spec)?;
             let mut correct = 0usize;
             for (i, sample) in data.samples().iter().enumerate() {
-                let label = match (&packed, &reference) {
-                    (Some(p), _) => p.infer(&sample.values)?,
-                    (None, Some(m)) => m.infer(&sample.values)?,
-                    (None, None) => unreachable!("one engine is always selected"),
-                };
+                let label = packed.infer(&sample.values)?;
                 writeln!(out, "{i}: predicted {label} (true {})", sample.label)?;
                 if label == sample.label {
                     correct += 1;
@@ -254,7 +231,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn
             trace,
             mem,
             workers,
-            engine,
             listen,
         } => run_profile(
             &task,
@@ -265,7 +241,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn
             trace.as_deref(),
             mem,
             workers,
-            engine,
             listen.as_deref(),
             out,
         ),
@@ -390,11 +365,7 @@ fn run_bench_diff(
 ) -> Result<(), Box<dyn Error>> {
     let old = diff::load_report(old_path)?;
     let new = diff::load_report(new_path)?;
-    writeln!(
-        out,
-        "comparing {old_path} ({}) → {new_path} ({})",
-        old.schema, new.schema
-    )?;
+    writeln!(out, "comparing {old_path} → {new_path} ({})", diff::SCHEMA)?;
     let outcome = diff::diff(&old, &new, thresholds);
     write!(out, "{}", outcome.render())?;
     if outcome.regressed() {
@@ -806,7 +777,6 @@ fn run_profile(
     trace_path: Option<&str>,
     mem: bool,
     workers: Option<usize>,
-    engine: Engine,
     listen: Option<&str>,
     out: &mut dyn std::io::Write,
 ) -> Result<(), Box<dyn Error>> {
@@ -882,27 +852,17 @@ fn run_profile(
         fit_time.as_secs_f64(),
         fit_time.as_secs_f64() * 1e3 / epochs.max(1) as f64
     )?;
-    let accuracy = outcome.model.evaluate(&task.test)?;
+    // the model compiles once, up front, so the latency loop below
+    // measures steady-state per-sample cost
+    let packed = PackedModel::compile(&outcome.model);
+    let accuracy = packed.evaluate(&task.test)?;
     writeln!(out, "test accuracy: {accuracy:.4}")?;
 
-    // inference layer: exact per-sample latencies over the test split,
-    // through the selected engine (packed compiles once, up front, so the
-    // loop measures steady-state per-sample cost for both engines)
-    let packed = match engine {
-        Engine::Packed => Some(PackedModel::compile(&outcome.model)),
-        Engine::Reference => None,
-    };
-    let engine_label = match &packed {
-        Some(p) => format!("packed ({} kernels)", p.tier()),
-        None => "reference".to_string(),
-    };
+    // inference layer: exact per-sample latencies over the test split
     let mut latencies_ns: Vec<u64> = Vec::with_capacity(task.test.len());
     for sample in task.test.samples() {
         let t = Instant::now();
-        let _ = match &packed {
-            Some(p) => p.infer(&sample.values)?,
-            None => outcome.model.infer(&sample.values)?,
-        };
+        let _ = packed.infer(&sample.values)?;
         latencies_ns.push(t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
     }
     latencies_ns.sort_unstable();
@@ -910,8 +870,9 @@ fn run_profile(
     let mean = latencies_ns.iter().sum::<u64>() as f64 / latencies_ns.len() as f64;
     writeln!(
         out,
-        "inference ({engine_label}): {} samples — mean {:.1} µs, p50 {:.1} µs, \
+        "inference (packed ({} kernels)): {} samples — mean {:.1} µs, p50 {:.1} µs, \
          p90 {:.1} µs, p99 {:.1} µs",
+        packed.tier(),
         latencies_ns.len(),
         mean / 1e3,
         pct(0.50) as f64 / 1e3,
@@ -1300,7 +1261,10 @@ fn parse_top_frame(body: &str) -> Result<TopFrame, UniVsaError> {
             mean: margin.get("mean").and_then(Json::as_f64).unwrap_or(0.0),
             p50: u64_at(margin, "p50"),
             p99: u64_at(margin, "p99"),
-            accuracy: q.get("confusion").and_then(|c| c.get("accuracy")).and_then(Json::as_f64),
+            accuracy: q
+                .get("confusion")
+                .and_then(|c| c.get("accuracy"))
+                .and_then(Json::as_f64),
             predictions,
         })
     });
@@ -1494,9 +1458,8 @@ fn run_quality(
     let task = lookup_task(task_name, seed)?;
     let name = task.spec.name.clone();
     univsa_telemetry::set_quality_task(&name);
-    let config = univsa_data::tasks::paper_config_tuple(&name).ok_or_else(|| {
-        UniVsaError::Config(format!("no paper configuration for task {name:?}"))
-    })?;
+    let config = univsa_data::tasks::paper_config_tuple(&name)
+        .ok_or_else(|| UniVsaError::Config(format!("no paper configuration for task {name:?}")))?;
     let drift = drift_at.map(|at| DriftSpec { at, strength });
     let jobs: Vec<Job> = (0..samples)
         .step_by(QUALITY_SHARD)
@@ -1603,7 +1566,12 @@ fn run_quality(
         for event in events {
             let latency = drift_at
                 .filter(|&at| event.sample_index >= at as u64)
-                .map(|at| format!(", latency {} after onset {at}", event.sample_index - at as u64))
+                .map(|at| {
+                    format!(
+                        ", latency {} after onset {at}",
+                        event.sample_index - at as u64
+                    )
+                })
                 .unwrap_or_default();
             writeln!(
                 out,
@@ -1846,28 +1814,46 @@ mod tests {
         .unwrap();
         assert!(text.contains("saved"), "{text}");
 
-        // infer on the same file — the two engines must agree sample by
-        // sample, and a compiled artifact must behave like its model
-        let infer_with = |model: &std::path::Path, engine: Engine| {
-            run_to_string(Command::Infer {
+        // infer on the same file, from the model and from its compiled
+        // artifact: every row must carry the reference engine's label
+        let infer_rows = |model: &std::path::Path| {
+            let text = run_to_string(Command::Infer {
                 model: model.to_string_lossy().into_owned(),
                 csv: csv_path.to_string_lossy().into_owned(),
-                engine,
             })
-            .unwrap()
+            .unwrap();
+            assert!(text.starts_with("engine: packed ("), "{text}");
+            assert!(text.contains("accuracy:"), "{text}");
+            text
         };
-        let text = infer_with(&model_path, Engine::Packed);
-        assert!(text.contains("engine: packed"), "{text}");
-        assert!(text.contains("accuracy:"), "{text}");
-        let reference = infer_with(&model_path, Engine::Reference);
-        assert!(reference.contains("engine: reference"), "{reference}");
-        let strip_engine_line = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with("engine:"))
-                .collect::<Vec<_>>()
-                .join("\n")
+        let model = load_model(&std::fs::read(&model_path).unwrap()).unwrap();
+        let data = csv::from_csv(&csv_text, {
+            let cfg = model.config();
+            TaskSpec {
+                name: "csv".into(),
+                width: cfg.width,
+                length: cfg.length,
+                classes: cfg.classes,
+                levels: cfg.levels,
+            }
+        })
+        .unwrap();
+        let reference_rows: Vec<String> = data
+            .samples()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let label = model.trace(&s.values).unwrap().label;
+                format!("{i}: predicted {label} (true {})", s.label)
+            })
+            .collect();
+        let predicted_rows = |text: &str| -> Vec<String> {
+            text.lines()
+                .filter(|l| l.contains(": predicted "))
+                .map(str::to_string)
+                .collect()
         };
-        assert_eq!(strip_engine_line(&text), strip_engine_line(&reference));
+        assert_eq!(predicted_rows(&infer_rows(&model_path)), reference_rows);
 
         // compile to a packed artifact and infer straight from it
         let artifact_path = dir.join("model.uvsap");
@@ -1877,12 +1863,7 @@ mod tests {
         })
         .unwrap();
         assert!(compiled.contains("compiled packed artifact"), "{compiled}");
-        let from_artifact = infer_with(&artifact_path, Engine::Reference);
-        assert!(from_artifact.contains("engine: packed"), "{from_artifact}");
-        assert_eq!(
-            strip_engine_line(&from_artifact),
-            strip_engine_line(&reference)
-        );
+        assert_eq!(predicted_rows(&infer_rows(&artifact_path)), reference_rows);
 
         // info
         let text = run_to_string(Command::Info {
@@ -1935,7 +1916,6 @@ mod tests {
             trace: None,
             mem: false,
             workers: None,
-            engine: Engine::Packed,
             listen: None,
         })
         .unwrap();
@@ -1959,7 +1939,6 @@ mod tests {
             trace: Some(path.to_string_lossy().into_owned()),
             mem: false,
             workers: None,
-            engine: Engine::Packed,
             listen: None,
         })
         .unwrap();
@@ -1992,11 +1971,16 @@ mod tests {
     fn bench_diff_passes_identical_and_fails_regressed_reports() {
         let dir = std::env::temp_dir().join(format!("univsa_bdiff_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let base = r#"{"schema":"univsa-perf-baseline/v3","quick":false,"threads":1,
+        let base = r#"{"schema":"univsa-perf-baseline/v7","quick":false,"threads":1,
             "tasks":[{"task":"HAR","train_seconds":10.0,"test_accuracy":0.95,
             "latency_us":{"mean":10.0,"p50":9.0,"p90":11.0,"p99":12.0},
             "hw_cycles":{"sample_latency":100,"initiation_interval":40,
-            "streamed_samples":64,"makespan":2620}}]}"#;
+            "streamed_samples":64,"makespan":2620},
+            "mem":{"peak_alloc_bytes":1000000,"alloc_count":5000},
+            "footprint":{"modeled_bits":66840,"actual_bits":66840,"ratio":1.0},
+            "quality":{"mean_margin":500.0,"margin_p50":480,"margin_p99":1210,
+            "drift":{"stream_samples":256,"at":128,"strength":1.0,"window":32,
+            "detection_latency":null}}}]}"#;
         let regressed = base.replace("\"makespan\":2620", "\"makespan\":2621");
         let old_path = dir.join("old.json");
         let same_path = dir.join("same.json");
@@ -2029,7 +2013,6 @@ mod tests {
             trace: None,
             mem: false,
             workers: None,
-            engine: Engine::Packed,
             listen: None,
         })
         .unwrap_err();
@@ -2047,7 +2030,6 @@ mod tests {
             trace: None,
             mem: true,
             workers: None,
-            engine: Engine::Packed,
             listen: None,
         })
         .unwrap();

@@ -33,8 +33,9 @@
 //! The packed engine is **bit-identical** to [`UniVsaModel::trace`] by
 //! construction — same predictions, same summed similarities — which the
 //! proptest suite and the six-task fixture tests enforce at every dispatch
-//! tier. [`UniVsaModel::evaluate`] compiles on the fly and runs the packed
-//! forward, so training evaluation and search fitness inherit the speedup.
+//! tier. It is the only engine outside tests: [`UniVsaModel::evaluate`]
+//! compiles on the fly and runs [`PackedModel::evaluate`], so training
+//! evaluation and search fitness run packed too.
 //!
 //! The artifact round-trips through its own CRC-protected container
 //! ([`save_packed`] / [`load_packed`]) sharing the workspace magic, so a
@@ -43,16 +44,19 @@
 use univsa_bits::kernels::{self, KernelTier};
 use univsa_bits::word::{tail_mask, words_for, BITS_PER_WORD};
 use univsa_data::Dataset;
+use univsa_nn::ConfusionMatrix;
 use univsa_telemetry::AllocMark;
 
-use crate::infer::stage_mark;
+use crate::codec::{Container, Reader, Writer};
+use crate::config::MAX_ENCODING_CHANNELS;
+use crate::infer::{similarity_margin, stage_mark};
 use crate::integrity::crc32;
 use crate::{UniVsaError, UniVsaModel};
 
 use std::time::Instant;
 
-/// Upper bound on bit-sliced counter planes; supports up to 2¹⁶ − 1
-/// encoding channels, far beyond any valid configuration.
+/// Upper bound on bit-sliced counter planes: enough for
+/// [`MAX_ENCODING_CHANNELS`], the builder's bound on encoding channels.
 const MAX_PLANES: usize = 16;
 
 /// A trained model lowered to flat packed slabs for straight-line
@@ -259,7 +263,9 @@ impl PackedModel {
             }
         }
 
-        // counter planes sized to hold counts up to enc_channels
+        // counter planes sized to hold counts up to enc_channels; every
+        // configuration that passed the builder (including one decoded by
+        // `load_model`) stays within MAX_ENCODING_CHANNELS
         let planes = (usize::BITS - enc_channels.leading_zeros()) as usize;
         assert!(planes <= MAX_PLANES, "encoding channel count out of range");
         // majority: ones ≥ ⌈enc/2⌉ ⟺ carry out of ones + (2^planes − ⌈enc/2⌉)
@@ -403,10 +409,7 @@ impl PackedModel {
         stage_mark(&mut timer, &mut mem, "similarity");
         if timer.is_some() {
             univsa_telemetry::counter("infer.samples", 1);
-            univsa_telemetry::record_prediction(
-                label as u32,
-                crate::infer::similarity_margin(&totals),
-            );
+            univsa_telemetry::record_prediction(label as u32, similarity_margin(&totals));
         }
         Ok(PackedInference { label, totals })
     }
@@ -430,27 +433,54 @@ impl PackedModel {
         .collect()
     }
 
-    /// Accuracy over a labelled dataset via [`PackedModel::infer_batch`].
+    /// Accuracy over a labelled dataset.
     ///
     /// # Errors
     ///
-    /// Returns [`UniVsaError::Input`] if the dataset is empty or any
-    /// sample's geometry disagrees with the artifact.
+    /// Returns [`UniVsaError::Input`] if the dataset is empty or its
+    /// geometry disagrees with the artifact.
     pub fn evaluate(&self, dataset: &Dataset) -> Result<f64, UniVsaError> {
+        Ok(self.evaluate_confusion(dataset)?.accuracy())
+    }
+
+    /// Confusion matrix over a labelled dataset. The per-sample
+    /// inferences fan out to the worker pool and come back in sample
+    /// order, so the fold (and any error propagation) is deterministic at
+    /// every thread count. With telemetry on, every outcome also feeds the
+    /// quality plane's confusion and calibration stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UniVsaError::Input`] under the same conditions as
+    /// [`PackedModel::evaluate`].
+    pub fn evaluate_confusion(&self, dataset: &Dataset) -> Result<ConfusionMatrix, UniVsaError> {
         if dataset.is_empty() {
             return Err(UniVsaError::Input(
                 "cannot evaluate on an empty dataset".into(),
             ));
         }
+        let spec = dataset.spec();
+        if (spec.width, spec.length, spec.classes) != (self.width, self.length, self.classes) {
+            return Err(UniVsaError::Input(format!(
+                "dataset geometry ({}, {}, {} classes) disagrees with model ({}, {}, {})",
+                spec.width, spec.length, spec.classes, self.width, self.length, self.classes
+            )));
+        }
         let samples = dataset.samples();
-        let values: Vec<&[u8]> = samples.iter().map(|s| s.values.as_slice()).collect();
-        let preds = self.infer_batch(&values)?;
-        let correct = preds
-            .iter()
-            .zip(samples)
-            .filter(|(p, s)| **p == s.label)
-            .count();
-        Ok(correct as f64 / samples.len() as f64)
+        let telemetry = univsa_telemetry::enabled();
+        let preds = univsa_par::map_indexed("infer.evaluate", samples.len(), |i| {
+            let d = self.infer_detailed(&samples[i].values)?;
+            Ok::<_, UniVsaError>((d.label, similarity_margin(&d.totals)))
+        });
+        let mut confusion = ConfusionMatrix::new(self.classes);
+        for (pred, sample) in preds.into_iter().zip(samples) {
+            let (label, margin) = pred?;
+            if telemetry {
+                univsa_telemetry::record_outcome(sample.label as u32, label as u32, margin);
+            }
+            confusion.record(sample.label, label);
+        }
+        Ok(confusion)
     }
 
     /// Stage 1: one LUT read per grid position (DVP lowered).
@@ -670,7 +700,12 @@ fn low_mask(bits: usize) -> u64 {
 // ---------------------------------------------------------------------------
 
 const PACKED_MAGIC: &[u8; 8] = b"UNIVSAPK";
-const PACKED_VERSION: u32 = 1;
+
+const PACKED: Container = Container {
+    magic: PACKED_MAGIC,
+    version: 1,
+    name: "packed-artifact",
+};
 
 /// Serializes a compiled artifact to its framed container: magic, version,
 /// payload length, payload, and a trailing CRC32 of the payload. Loading
@@ -683,11 +718,7 @@ const PACKED_VERSION: u32 = 1;
 /// Returns [`UniVsaError::Serialize`] if a section exceeds the container's
 /// 32-bit limits (impossible for valid configurations).
 pub fn save_packed(packed: &PackedModel) -> Result<Vec<u8>, UniVsaError> {
-    let u32_of = |v: usize, what: &str| -> Result<u32, UniVsaError> {
-        u32::try_from(v)
-            .map_err(|_| UniVsaError::Serialize(format!("{what} = {v} exceeds the u32 limit")))
-    };
-    let mut p = Vec::new();
+    let mut w = Writer::default();
     for (v, what) in [
         (packed.width, "width"),
         (packed.length, "length"),
@@ -699,20 +730,12 @@ pub fn save_packed(packed: &PackedModel) -> Result<Vec<u8>, UniVsaError> {
         (packed.enc_channels, "enc_channels"),
         (packed.planes, "planes"),
     ] {
-        p.extend_from_slice(&u32_of(v, what)?.to_le_bytes());
+        w.len(v, what)?;
     }
-    p.push(u8::from(packed.biconv));
-    p.extend_from_slice(&packed.majority_add.to_le_bytes());
-
-    p.extend_from_slice(&u32_of(packed.use_high.len(), "mask length")?.to_le_bytes());
-    let mut bits = vec![0u8; packed.use_high.len().div_ceil(8)];
-    for (i, &hi) in packed.use_high.iter().enumerate() {
-        if hi {
-            bits[i / 8] |= 1 << (i % 8);
-        }
-    }
-    p.extend_from_slice(&bits);
-
+    w.u8(u8::from(packed.biconv));
+    w.u64(packed.majority_add);
+    w.len(packed.use_high.len(), "mask length")?;
+    w.bitmask(&packed.use_high);
     for slab in [
         &packed.high_lut,
         &packed.low_lut,
@@ -720,22 +743,15 @@ pub fn save_packed(packed: &PackedModel) -> Result<Vec<u8>, UniVsaError> {
         &packed.f_neg,
         &packed.class_planes,
     ] {
-        p.extend_from_slice(&u32_of(slab.len(), "slab length")?.to_le_bytes());
-        for w in slab.iter() {
-            p.extend_from_slice(&w.to_le_bytes());
-        }
+        w.len(slab.len(), "slab length")?;
+        w.words(slab);
     }
-    p.extend_from_slice(&u32_of(packed.conv_thresholds.len(), "thresholds")?.to_le_bytes());
-    for t in &packed.conv_thresholds {
-        p.extend_from_slice(&t.to_le_bytes());
+    w.len(packed.conv_thresholds.len(), "thresholds")?;
+    for &t in &packed.conv_thresholds {
+        w.u32(t);
     }
-
-    let mut out = Vec::with_capacity(20 + p.len());
-    out.extend_from_slice(PACKED_MAGIC);
-    out.extend_from_slice(&PACKED_VERSION.to_le_bytes());
-    out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-    out.extend_from_slice(&p);
-    out.extend_from_slice(&crc32(&p).to_le_bytes());
+    let mut out = PACKED.frame(&w.bytes)?;
+    out.extend_from_slice(&crc32(&w.bytes).to_le_bytes());
     Ok(out)
 }
 
@@ -747,131 +763,81 @@ pub fn is_packed_artifact(bytes: &[u8]) -> bool {
 }
 
 /// Restores a compiled artifact written by [`save_packed`], verifying the
-/// payload checksum. The artifact runs at the current process's dispatch
-/// tier (the tier is a compilation detail of *this* process, not of the
-/// stored bits — every tier computes identical results).
+/// payload checksum and that every section agrees with the geometry and
+/// with what [`PackedModel::compile`] derives from it. The artifact runs
+/// at the current process's dispatch tier (the tier is a compilation
+/// detail of *this* process, not of the stored bits — every tier computes
+/// identical results).
 ///
 /// # Errors
 ///
 /// Returns [`UniVsaError::Serialize`] on a bad magic, version, or layout,
 /// and [`UniVsaError::Integrity`] when the payload fails its checksum.
 pub fn load_packed(bytes: &[u8]) -> Result<PackedModel, UniVsaError> {
-    if bytes.len() < 20 {
-        return Err(UniVsaError::Serialize("buffer too short".into()));
-    }
-    if !is_packed_artifact(bytes) {
-        return Err(UniVsaError::Serialize("bad packed-artifact magic".into()));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != PACKED_VERSION {
-        return Err(UniVsaError::Serialize(format!(
-            "unsupported packed-artifact version {version}"
-        )));
-    }
-    let len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-    let rest = &bytes[16..];
-    if rest.len() < len + 4 {
-        return Err(UniVsaError::Serialize(format!(
-            "payload truncated: expected {} bytes, have {}",
-            len + 4,
-            rest.len()
-        )));
-    }
-    let payload = &rest[..len];
-    let stored = u32::from_le_bytes(rest[len..len + 4].try_into().expect("4 bytes"));
+    let (payload, trailer) = PACKED.open_frame(bytes, 4)?;
+    let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
     if crc32(payload) != stored {
         return Err(UniVsaError::Integrity(
             "packed artifact failed its payload checksum".into(),
         ));
     }
 
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], UniVsaError> {
-        let end = pos.checked_add(n).filter(|&e| e <= payload.len());
-        match end {
-            Some(end) => {
-                let s = &payload[*pos..end];
-                *pos = end;
-                Ok(s)
-            }
-            None => Err(UniVsaError::Serialize(format!(
-                "payload truncated at offset {pos}"
-            ))),
-        }
-    };
-    let u32_at = |pos: &mut usize| -> Result<usize, UniVsaError> {
-        Ok(u32::from_le_bytes(take(pos, 4)?.try_into().expect("4 bytes")) as usize)
-    };
-
+    let mut r = Reader::new(payload);
     let mut dims = [0usize; 9];
     for d in &mut dims {
-        *d = u32_at(&mut pos)?;
+        *d = r.u32()? as usize;
     }
     let [width, length, d_h, d_k, classes, levels, voters, enc_channels, planes] = dims;
-    let biconv = take(&mut pos, 1)?[0] != 0;
-    let majority_add = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8 bytes"));
-
-    let mask_len = u32_at(&mut pos)?;
-    let packed_bits = take(&mut pos, mask_len.div_ceil(8))?;
-    let use_high: Vec<bool> = (0..mask_len)
-        .map(|i| packed_bits[i / 8] >> (i % 8) & 1 == 1)
-        .collect();
-
+    let biconv = r.u8()? != 0;
+    let majority_add = r.u64()?;
+    let mask_len = r.u32()? as usize;
+    let use_high = r.bitmask(mask_len)?;
     let mut slabs: [Vec<u64>; 5] = Default::default();
     for slab in &mut slabs {
-        let n = u32_at(&mut pos)?;
-        if n.saturating_mul(8) > payload.len() {
-            return Err(UniVsaError::Serialize(format!(
-                "slab of {n} words larger than the payload"
-            )));
-        }
-        *slab = (0..n)
-            .map(|_| {
-                Ok(u64::from_le_bytes(
-                    take(&mut pos, 8)?.try_into().expect("8 bytes"),
-                ))
-            })
-            .collect::<Result<_, UniVsaError>>()?;
+        let n = r.u32()? as usize;
+        *slab = r.words(n)?;
     }
     let [high_lut, low_lut, kernel, f_neg, class_planes] = slabs;
-    let n_thresh = u32_at(&mut pos)?;
-    if n_thresh.saturating_mul(4) > payload.len() {
-        return Err(UniVsaError::Serialize(format!(
-            "threshold table of {n_thresh} entries larger than the payload"
-        )));
-    }
-    let conv_thresholds: Vec<u32> = (0..n_thresh)
-        .map(|_| {
-            Ok(u32::from_le_bytes(
-                take(&mut pos, 4)?.try_into().expect("4 bytes"),
-            ))
-        })
-        .collect::<Result<_, UniVsaError>>()?;
-    if pos != payload.len() {
-        return Err(UniVsaError::Serialize(format!(
-            "{} trailing payload bytes",
-            payload.len() - pos
-        )));
-    }
+    let n_thresh = r.u32()? as usize;
+    let conv_thresholds: Vec<u32> = r
+        .take(n_thresh.saturating_mul(4))?
+        .chunks_exact(4)
+        .map(|t| u32::from_le_bytes(t.try_into().expect("4 bytes")))
+        .collect();
+    r.finish()?;
 
-    let dim = width * length;
-    let words = words_for(dim);
-    let consistent = use_high.len() == dim
+    // every product below is checked: the factors come straight from the
+    // payload and a hostile writer can pick any u32 it likes
+    let dim = width.checked_mul(length);
+    let words = dim.map(words_for);
+    let times = |a: usize, b: Option<usize>| b.and_then(|b| a.checked_mul(b));
+    let grid_ok = dim.is_some_and(|d| d > 0 && use_high.len() == d)
+        && (1..=64).contains(&d_h)
+        && d_k % 2 == 1
+        && d_k <= width.min(length);
+    let counter_ok = (1..=MAX_ENCODING_CHANNELS).contains(&enc_channels)
+        && planes == (usize::BITS - enc_channels.leading_zeros()) as usize
+        && majority_add == (1u64 << planes) - (enc_channels as u64).div_ceil(2);
+    let consistent = grid_ok
+        && counter_ok
         && high_lut.len() == levels
         && low_lut.len() == levels
-        && f_neg.len() == enc_channels * words
-        && class_planes.len() == voters * classes * words
-        && planes <= MAX_PLANES
+        && Some(f_neg.len()) == times(enc_channels, words)
+        && Some(class_planes.len()) == times(voters, times(classes, words))
         && if biconv {
-            kernel.len() == enc_channels * d_k * d_k && conv_thresholds.len() == dim
+            Some(kernel.len()) == times(enc_channels, d_k.checked_mul(d_k))
+                && conv_thresholds == conv_threshold_table(width, length, d_k, d_h)
         } else {
-            kernel.is_empty() && conv_thresholds.is_empty()
+            enc_channels == d_h && kernel.is_empty() && conv_thresholds.is_empty()
         };
     if !consistent {
         return Err(UniVsaError::Serialize(
             "packed artifact sections are mutually inconsistent".into(),
         ));
     }
+    // the checks above rule out overflow
+    let dim = width * length;
+    let words = words_for(dim);
 
     let swar = biconv
         .then(|| {

@@ -170,7 +170,17 @@ impl UniVsaConfig {
     pub fn tuple(&self) -> (usize, usize, usize, usize, usize) {
         (self.d_h, self.d_l, self.d_k, self.out_channels, self.voters)
     }
+
+    /// Runs a configuration that did not come from the builder (one
+    /// decoded from a container) through [`ConfigBuilder::build`]'s checks.
+    pub(crate) fn validated(self) -> Result<Self, UniVsaError> {
+        ConfigBuilder { config: self }.build()
+    }
 }
+
+/// Most encoding channels a configuration may have: the packed engine's
+/// bit-sliced majority counter holds counts up to `2^16 − 1`.
+pub(crate) const MAX_ENCODING_CHANNELS: usize = (1 << 16) - 1;
 
 /// Builder for [`UniVsaConfig`] (see [`UniVsaConfig::for_task`]).
 #[derive(Debug, Clone)]
@@ -227,8 +237,8 @@ impl ConfigBuilder {
     ///
     /// Returns [`UniVsaError::Config`] when any constraint is violated:
     /// zero extents, `D_L > D_H`, `D_H > 64`, an even kernel, kernel larger
-    /// than the input grid, a `high_fraction` outside `(0, 1]`, or fewer
-    /// than 2 classes/levels.
+    /// than the input grid, more than `2^16 − 1` encoding channels, a
+    /// `high_fraction` outside `(0, 1]`, or fewer than 2 classes/levels.
     pub fn build(self) -> Result<UniVsaConfig, UniVsaError> {
         let c = self.config;
         let err = |msg: String| Err(UniVsaError::Config(msg));
@@ -255,6 +265,12 @@ impl ConfigBuilder {
         }
         if c.width == 0 || c.length == 0 {
             return err("input grid must be nonempty".into());
+        }
+        if c.encoding_channels() > MAX_ENCODING_CHANNELS {
+            return err(format!(
+                "{} encoding channels exceed the limit of {MAX_ENCODING_CHANNELS}",
+                c.encoding_channels()
+            ));
         }
         if c.classes < 2 {
             return err(format!("need at least 2 classes, got {}", c.classes));
@@ -320,6 +336,17 @@ mod tests {
             .d_l(1)
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn rejects_more_encoding_channels_than_the_counter_holds() {
+        let at_limit = UniVsaConfig::for_task(&spec()).out_channels(MAX_ENCODING_CHANNELS);
+        assert!(at_limit.clone().build().is_ok());
+        let err = at_limit
+            .out_channels(MAX_ENCODING_CHANNELS + 1)
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("encoding channels"), "{err}");
     }
 
     #[test]

@@ -1,29 +1,27 @@
 //! Model (de)serialization.
 //!
-//! Two container versions share the 8-byte magic and a little-endian
-//! `version` + `payload length` header:
-//!
-//! - **v1** (legacy): a JSON payload mirroring the model's field layout.
-//!   [`load_model`] still reads it; [`save_model_v1`] still writes it so
-//!   the compatibility path stays covered by tests.
-//! - **v2** (current, written by [`save_model`]): a packed binary payload
-//!   with the per-component CRC32 checksums of [`crate::ModelIntegrity`]
-//!   embedded after the weights. Loading a v2 container re-computes the
-//!   checksums and fails with [`UniVsaError::Integrity`] on any mismatch —
-//!   weight corruption in storage or transit is detected *before* the
-//!   model can mispredict.
+//! [`save_model`] writes the v2 container: the shared 16-byte frame
+//! (magic `UNIVSA\0\x01`, version, payload length) around a packed binary
+//! payload — configuration, mask, weights — followed by the
+//! per-component CRC32 checksums of [`crate::ModelIntegrity`]. Loading
+//! re-validates the configuration, re-assembles the model, and
+//! re-computes the checksums, failing with [`UniVsaError::Integrity`] on
+//! any mismatch — weight corruption in storage or transit is detected
+//! *before* the model can mispredict.
 
 use univsa_bits::{BitMatrix, BitVec};
 
-use crate::json::{self, Json};
+use crate::codec::{Container, Reader, Writer};
 use crate::{Enhancements, Mask, ModelIntegrity, UniVsaConfig, UniVsaError, UniVsaModel};
 
-const MAGIC: &[u8; 8] = b"UNIVSA\0\x01";
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
+const MODEL: Container = Container {
+    magic: b"UNIVSA\0\x01",
+    version: 2,
+    name: "model container",
+};
 
-/// Serializes a model to the current (v2) framed binary container with
-/// embedded per-component checksums.
+/// Serializes a model to the v2 framed binary container with embedded
+/// per-component checksums.
 ///
 /// # Errors
 ///
@@ -42,79 +40,8 @@ const VERSION_V2: u32 = 2;
 /// # }
 /// ```
 pub fn save_model(model: &UniVsaModel) -> Result<Vec<u8>, UniVsaError> {
-    let payload = encode_v2_payload(model)?;
-    Ok(frame(VERSION_V2, &payload))
-}
-
-/// Serializes a model to the legacy v1 (JSON-payload) container. Exists so
-/// the backward-compatibility path of [`load_model`] stays exercised; new
-/// code should prefer [`save_model`].
-///
-/// # Errors
-///
-/// Returns [`UniVsaError::Serialize`] if the payload exceeds the frame's
-/// 32-bit length limit.
-pub fn save_model_v1(model: &UniVsaModel) -> Result<Vec<u8>, UniVsaError> {
-    let mut text = String::new();
-    json::write(&model_to_json(model), &mut text);
-    Ok(frame(VERSION_V1, text.as_bytes()))
-}
-
-fn frame(version: u32, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + payload.len());
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&version.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
-}
-
-/// Restores a model from a buffer produced by [`save_model`] (v2) or the
-/// legacy [`save_model_v1`] / pre-v2 writers (v1).
-///
-/// # Errors
-///
-/// Returns [`UniVsaError::Serialize`] on a bad magic, unsupported version,
-/// truncated buffer, or malformed payload, and [`UniVsaError::Integrity`]
-/// when a v2 payload's weights no longer match their embedded checksums.
-pub fn load_model(bytes: &[u8]) -> Result<UniVsaModel, UniVsaError> {
-    if bytes.len() < 16 {
-        return Err(UniVsaError::Serialize("buffer too short".into()));
-    }
-    if &bytes[..8] != MAGIC {
-        return Err(UniVsaError::Serialize("bad magic".into()));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-    let rest = &bytes[16..];
-    if rest.len() < len {
-        return Err(UniVsaError::Serialize(format!(
-            "payload truncated: expected {len} bytes, have {}",
-            rest.len()
-        )));
-    }
-    let payload = &rest[..len];
-    match version {
-        VERSION_V1 => decode_v1_payload(payload),
-        VERSION_V2 => decode_v2_payload(payload),
-        other => Err(UniVsaError::Serialize(format!(
-            "unsupported format version {other}"
-        ))),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// v2: packed binary payload with embedded integrity
-// ---------------------------------------------------------------------------
-
-fn encode_v2_payload(model: &UniVsaModel) -> Result<Vec<u8>, UniVsaError> {
-    let mut out = Vec::new();
+    let mut w = Writer::default();
     let cfg = model.config();
-    let u32_of = |v: usize, what: &str| -> Result<u32, UniVsaError> {
-        u32::try_from(v).map_err(|_| {
-            UniVsaError::Serialize(format!("{what} = {v} exceeds the u32 section limit"))
-        })
-    };
     for (value, what) in [
         (cfg.d_h, "d_h"),
         (cfg.d_l, "d_l"),
@@ -126,32 +53,24 @@ fn encode_v2_payload(model: &UniVsaModel) -> Result<Vec<u8>, UniVsaError> {
         (cfg.length, "length"),
         (cfg.classes, "classes"),
     ] {
-        out.extend_from_slice(&u32_of(value, what)?.to_le_bytes());
+        w.len(value, what)?;
     }
     let e = cfg.enhancements;
-    out.push(u8::from(e.dvp) | u8::from(e.biconv) << 1 | u8::from(e.soft_voting) << 2);
-    out.extend_from_slice(&cfg.high_fraction.to_le_bytes());
+    w.u8(u8::from(e.dvp) | u8::from(e.biconv) << 1 | u8::from(e.soft_voting) << 2);
+    w.f32(cfg.high_fraction);
 
     let mask = model.mask().as_bits();
-    out.extend_from_slice(&u32_of(mask.len(), "mask length")?.to_le_bytes());
-    let mut packed = vec![0u8; mask.len().div_ceil(8)];
-    for (i, &bit) in mask.iter().enumerate() {
-        if bit {
-            packed[i / 8] |= 1 << (i % 8);
-        }
-    }
-    out.extend_from_slice(&packed);
+    w.len(mask.len(), "mask length")?;
+    w.bitmask(mask);
 
-    encode_matrix(&mut out, model.v_h(), &u32_of)?;
-    encode_matrix(&mut out, model.v_l(), &u32_of)?;
-    out.extend_from_slice(&u32_of(model.kernel_words().len(), "kernel words")?.to_le_bytes());
-    for w in model.kernel_words() {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    encode_matrix(&mut out, model.f(), &u32_of)?;
-    out.extend_from_slice(&u32_of(model.class_sets().len(), "class sets")?.to_le_bytes());
+    write_matrix(&mut w, model.v_h())?;
+    write_matrix(&mut w, model.v_l())?;
+    w.len(model.kernel_words().len(), "kernel words")?;
+    w.words(model.kernel_words());
+    write_matrix(&mut w, model.f())?;
+    w.len(model.class_sets().len(), "class sets")?;
     for set in model.class_sets() {
-        encode_matrix(&mut out, set, &u32_of)?;
+        write_matrix(&mut w, set)?;
     }
 
     let integrity = model.integrity();
@@ -162,107 +81,55 @@ fn encode_v2_payload(model: &UniVsaModel) -> Result<Vec<u8>, UniVsaError> {
         integrity.f,
         integrity.c,
     ] {
-        out.extend_from_slice(&crc.to_le_bytes());
+        w.u32(crc);
     }
-    Ok(out)
+    MODEL.frame(&w.bytes)
 }
 
-fn encode_matrix(
-    out: &mut Vec<u8>,
-    m: &BitMatrix,
-    u32_of: &impl Fn(usize, &str) -> Result<u32, UniVsaError>,
-) -> Result<(), UniVsaError> {
-    out.extend_from_slice(&u32_of(m.rows(), "matrix rows")?.to_le_bytes());
-    out.extend_from_slice(&u32_of(m.dim(), "matrix dim")?.to_le_bytes());
+fn write_matrix(w: &mut Writer, m: &BitMatrix) -> Result<(), UniVsaError> {
+    w.len(m.rows(), "matrix rows")?;
+    w.len(m.dim(), "matrix dim")?;
     for r in 0..m.rows() {
-        for w in m.row(r).as_words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
+        w.words(m.row(r).as_words());
     }
     Ok(())
 }
 
-/// Sequential reader over a v2 payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn read_matrix(r: &mut Reader) -> Result<BitMatrix, UniVsaError> {
+    let rows = r.u32()? as usize;
+    let dim = r.u32()? as usize;
+    if rows == 0 || dim == 0 {
+        return Err(UniVsaError::Serialize(format!(
+            "empty {rows}x{dim} matrix section"
+        )));
+    }
+    let words_per_row = dim.div_ceil(64);
+    let words = r.words(rows.saturating_mul(words_per_row))?;
+    let row_vecs = words
+        .chunks_exact(words_per_row)
+        .map(|row| BitVec::from_words(dim, row.to_vec()))
+        .collect();
+    BitMatrix::from_rows(row_vecs).map_err(|e| UniVsaError::Serialize(e.to_string()))
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], UniVsaError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let slice = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(UniVsaError::Serialize(format!(
-                "payload truncated at offset {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, UniVsaError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, UniVsaError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, UniVsaError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f32(&mut self) -> Result<f32, UniVsaError> {
-        Ok(f32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn matrix(&mut self) -> Result<BitMatrix, UniVsaError> {
-        let rows = self.u32()? as usize;
-        let dim = self.u32()? as usize;
-        let words_per_row = dim.div_ceil(64);
-        // cheap sanity bound before allocating
-        if rows.saturating_mul(words_per_row).saturating_mul(8) > self.bytes.len() {
-            return Err(UniVsaError::Serialize(format!(
-                "matrix section {rows}x{dim} larger than the payload"
-            )));
-        }
-        let row_vecs = (0..rows)
-            .map(|_| {
-                let words = (0..words_per_row)
-                    .map(|_| self.u64())
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(BitVec::from_words(dim, words))
-            })
-            .collect::<Result<Vec<_>, UniVsaError>>()?;
-        if rows == 0 {
-            return Err(UniVsaError::Serialize("empty matrix section".into()));
-        }
-        BitMatrix::from_rows(row_vecs).map_err(|e| UniVsaError::Serialize(e.to_string()))
-    }
-}
-
-fn decode_v2_payload(payload: &[u8]) -> Result<UniVsaModel, UniVsaError> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+/// Restores a model from a buffer produced by [`save_model`].
+///
+/// # Errors
+///
+/// Returns [`UniVsaError::Serialize`] on a bad magic, unsupported version,
+/// truncated buffer, invalid configuration, or malformed payload, and
+/// [`UniVsaError::Integrity`] when the weights no longer match their
+/// embedded checksums.
+pub fn load_model(bytes: &[u8]) -> Result<UniVsaModel, UniVsaError> {
+    let (payload, _) = MODEL.open_frame(bytes, 0)?;
+    let mut r = Reader::new(payload);
     let mut dims = [0usize; 9];
     for d in &mut dims {
-        *d = c.u32()? as usize;
+        *d = r.u32()? as usize;
     }
     let [d_h, d_l, d_k, out_channels, voters, levels, width, length, classes] = dims;
-    let flags = c.u8()?;
-    let high_fraction = c.f32()?;
+    let flags = r.u8()?;
+    let high_fraction = r.f32()?;
     let config = UniVsaConfig {
         d_h,
         d_l,
@@ -279,50 +146,29 @@ fn decode_v2_payload(payload: &[u8]) -> Result<UniVsaModel, UniVsaError> {
             soft_voting: flags & 4 != 0,
         },
         high_fraction,
-    };
-
-    let mask_len = c.u32()? as usize;
-    let packed = c.take(mask_len.div_ceil(8))?;
-    let bits = (0..mask_len)
-        .map(|i| packed[i / 8] >> (i % 8) & 1 == 1)
-        .collect();
-    let mask = Mask::from_bits(bits);
-
-    let v_h = c.matrix()?;
-    let v_l = c.matrix()?;
-    let kernel_len = c.u32()? as usize;
-    if kernel_len.saturating_mul(8) > payload.len() {
-        return Err(UniVsaError::Serialize(format!(
-            "kernel section of {kernel_len} words larger than the payload"
-        )));
     }
-    let kernel = (0..kernel_len)
-        .map(|_| c.u64())
-        .collect::<Result<Vec<_>, _>>()?;
-    let f = c.matrix()?;
-    let sets = c.u32()? as usize;
-    if sets > payload.len() {
-        return Err(UniVsaError::Serialize(format!(
-            "class-set count {sets} larger than the payload"
-        )));
-    }
+    .validated()
+    .map_err(|e| UniVsaError::Serialize(format!("decoded configuration is invalid: {e}")))?;
+
+    let mask_len = r.u32()? as usize;
+    let mask = Mask::from_bits(r.bitmask(mask_len)?);
+    let v_h = read_matrix(&mut r)?;
+    let v_l = read_matrix(&mut r)?;
+    let kernel_len = r.u32()? as usize;
+    let kernel = r.words(kernel_len)?;
+    let f = read_matrix(&mut r)?;
+    let sets = r.u32()? as usize;
     let class_sets = (0..sets)
-        .map(|_| c.matrix())
+        .map(|_| read_matrix(&mut r))
         .collect::<Result<Vec<_>, _>>()?;
-
     let expected = ModelIntegrity {
-        v_h: c.u32()?,
-        v_l: c.u32()?,
-        kernel: c.u32()?,
-        f: c.u32()?,
-        c: c.u32()?,
+        v_h: r.u32()?,
+        v_l: r.u32()?,
+        kernel: r.u32()?,
+        f: r.u32()?,
+        c: r.u32()?,
     };
-    if c.pos != payload.len() {
-        return Err(UniVsaError::Serialize(format!(
-            "{} trailing payload bytes",
-            payload.len() - c.pos
-        )));
-    }
+    r.finish()?;
 
     let model = UniVsaModel::from_parts(config, mask, v_h, v_l, kernel, f, class_sets)
         .map_err(|e| UniVsaError::Serialize(format!("decoded model is inconsistent: {e}")))?;
@@ -334,206 +180,6 @@ fn decode_v2_payload(payload: &[u8]) -> Result<UniVsaModel, UniVsaError> {
         )));
     }
     Ok(model)
-}
-
-// ---------------------------------------------------------------------------
-// v1: legacy JSON payload (layout of the original serde-derived writer)
-// ---------------------------------------------------------------------------
-
-fn model_to_json(model: &UniVsaModel) -> Json {
-    let cfg = model.config();
-    let num = |v: usize| Json::Num(v as f64, Some(v as u64));
-    let config = Json::Obj(vec![
-        ("d_h".into(), num(cfg.d_h)),
-        ("d_l".into(), num(cfg.d_l)),
-        ("d_k".into(), num(cfg.d_k)),
-        ("out_channels".into(), num(cfg.out_channels)),
-        ("voters".into(), num(cfg.voters)),
-        ("levels".into(), num(cfg.levels)),
-        ("width".into(), num(cfg.width)),
-        ("length".into(), num(cfg.length)),
-        ("classes".into(), num(cfg.classes)),
-        (
-            "enhancements".into(),
-            Json::Obj(vec![
-                ("dvp".into(), Json::Bool(cfg.enhancements.dvp)),
-                ("biconv".into(), Json::Bool(cfg.enhancements.biconv)),
-                (
-                    "soft_voting".into(),
-                    Json::Bool(cfg.enhancements.soft_voting),
-                ),
-            ]),
-        ),
-        (
-            "high_fraction".into(),
-            Json::Num(cfg.high_fraction as f64, None),
-        ),
-    ]);
-    let mask = Json::Obj(vec![(
-        "bits".into(),
-        Json::Arr(
-            model
-                .mask()
-                .as_bits()
-                .iter()
-                .map(|&b| Json::Bool(b))
-                .collect(),
-        ),
-    )]);
-    let kernel = Json::Arr(
-        model
-            .kernel_words()
-            .iter()
-            .map(|&w| Json::Num(w as f64, Some(w)))
-            .collect(),
-    );
-    Json::Obj(vec![
-        ("config".into(), config),
-        ("mask".into(), mask),
-        ("v_h".into(), matrix_to_json(model.v_h())),
-        ("v_l".into(), matrix_to_json(model.v_l())),
-        ("kernel".into(), kernel),
-        ("f".into(), matrix_to_json(model.f())),
-        (
-            "c".into(),
-            Json::Arr(model.class_sets().iter().map(matrix_to_json).collect()),
-        ),
-    ])
-}
-
-fn matrix_to_json(m: &BitMatrix) -> Json {
-    let rows = (0..m.rows())
-        .map(|r| {
-            let row = m.row(r);
-            Json::Obj(vec![
-                (
-                    "dim".into(),
-                    Json::Num(row.dim() as f64, Some(row.dim() as u64)),
-                ),
-                (
-                    "words".into(),
-                    Json::Arr(
-                        row.as_words()
-                            .iter()
-                            .map(|&w| Json::Num(w as f64, Some(w)))
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        (
-            "dim".into(),
-            Json::Num(m.dim() as f64, Some(m.dim() as u64)),
-        ),
-        ("rows".into(), Json::Arr(rows)),
-    ])
-}
-
-fn decode_v1_payload(payload: &[u8]) -> Result<UniVsaModel, UniVsaError> {
-    let doc = json::parse(payload).map_err(|e| UniVsaError::Serialize(format!("decode: {e}")))?;
-    let field = |obj: &Json, key: &str| -> Result<Json, UniVsaError> {
-        obj.get(key)
-            .cloned()
-            .ok_or_else(|| UniVsaError::Serialize(format!("decode: missing field '{key}'")))
-    };
-    let usize_field = |obj: &Json, key: &str| -> Result<usize, UniVsaError> {
-        field(obj, key)?.as_usize().ok_or_else(|| {
-            UniVsaError::Serialize(format!("decode: field '{key}' is not an integer"))
-        })
-    };
-    let bool_field = |obj: &Json, key: &str| -> Result<bool, UniVsaError> {
-        field(obj, key)?.as_bool().ok_or_else(|| {
-            UniVsaError::Serialize(format!("decode: field '{key}' is not a boolean"))
-        })
-    };
-
-    let cfg_doc = field(&doc, "config")?;
-    let enh_doc = field(&cfg_doc, "enhancements")?;
-    let config = UniVsaConfig {
-        d_h: usize_field(&cfg_doc, "d_h")?,
-        d_l: usize_field(&cfg_doc, "d_l")?,
-        d_k: usize_field(&cfg_doc, "d_k")?,
-        out_channels: usize_field(&cfg_doc, "out_channels")?,
-        voters: usize_field(&cfg_doc, "voters")?,
-        levels: usize_field(&cfg_doc, "levels")?,
-        width: usize_field(&cfg_doc, "width")?,
-        length: usize_field(&cfg_doc, "length")?,
-        classes: usize_field(&cfg_doc, "classes")?,
-        enhancements: Enhancements {
-            dvp: bool_field(&enh_doc, "dvp")?,
-            biconv: bool_field(&enh_doc, "biconv")?,
-            soft_voting: bool_field(&enh_doc, "soft_voting")?,
-        },
-        high_fraction: field(&cfg_doc, "high_fraction")?
-            .as_f64()
-            .ok_or_else(|| UniVsaError::Serialize("decode: bad high_fraction".into()))?
-            as f32,
-    };
-
-    let bits = field(&field(&doc, "mask")?, "bits")?
-        .as_arr()
-        .ok_or_else(|| UniVsaError::Serialize("decode: mask.bits is not an array".into()))?
-        .iter()
-        .map(|b| b.as_bool())
-        .collect::<Option<Vec<bool>>>()
-        .ok_or_else(|| UniVsaError::Serialize("decode: mask bit is not a boolean".into()))?;
-    let mask = Mask::from_bits(bits);
-
-    let kernel = field(&doc, "kernel")?
-        .as_arr()
-        .ok_or_else(|| UniVsaError::Serialize("decode: kernel is not an array".into()))?
-        .iter()
-        .map(|w| w.as_u64())
-        .collect::<Option<Vec<u64>>>()
-        .ok_or_else(|| UniVsaError::Serialize("decode: kernel word is not an integer".into()))?;
-
-    let v_h = matrix_from_json(&field(&doc, "v_h")?)?;
-    let v_l = matrix_from_json(&field(&doc, "v_l")?)?;
-    let f = matrix_from_json(&field(&doc, "f")?)?;
-    let c = field(&doc, "c")?
-        .as_arr()
-        .ok_or_else(|| UniVsaError::Serialize("decode: c is not an array".into()))?
-        .iter()
-        .map(matrix_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-
-    UniVsaModel::from_parts(config, mask, v_h, v_l, kernel, f, c)
-        .map_err(|e| UniVsaError::Serialize(format!("decoded model is inconsistent: {e}")))
-}
-
-fn matrix_from_json(doc: &Json) -> Result<BitMatrix, UniVsaError> {
-    let bad = |what: &str| UniVsaError::Serialize(format!("decode: {what}"));
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("matrix rows missing"))?;
-    let row_vecs = rows
-        .iter()
-        .map(|row| {
-            let dim = row
-                .get("dim")
-                .and_then(Json::as_usize)
-                .ok_or_else(|| bad("row dim missing"))?;
-            let words = row
-                .get("words")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("row words missing"))?
-                .iter()
-                .map(|w| w.as_u64())
-                .collect::<Option<Vec<u64>>>()
-                .ok_or_else(|| bad("row word is not an integer"))?;
-            if words.len() != dim.div_ceil(64) {
-                return Err(bad("row word count disagrees with dim"));
-            }
-            Ok(BitVec::from_words(dim, words))
-        })
-        .collect::<Result<Vec<_>, UniVsaError>>()?;
-    if row_vecs.is_empty() {
-        return Err(bad("matrix has no rows"));
-    }
-    BitMatrix::from_rows(row_vecs).map_err(|e| UniVsaError::Serialize(e.to_string()))
 }
 
 #[cfg(test)]
@@ -583,31 +229,57 @@ mod tests {
         assert_eq!(restored, m);
     }
 
+    /// A container whose configuration never passed the builder: the
+    /// writer does not validate, so only the loader stands between such a
+    /// file and the packed compiler's plane-count bound.
     #[test]
-    fn v1_roundtrip() {
-        let m = model(7);
-        let bytes = save_model_v1(&m).unwrap();
-        assert_eq!(bytes[8], 1, "v1 container must carry version 1");
-        let restored = load_model(&bytes).unwrap();
-        assert_eq!(restored, m);
-    }
-
-    #[test]
-    fn v1_and_v2_load_the_same_model() {
-        let m = model(8);
-        let via_v1 = load_model(&save_model_v1(&m).unwrap()).unwrap();
-        let via_v2 = load_model(&save_model(&m).unwrap()).unwrap();
-        assert_eq!(via_v1, via_v2);
-    }
-
-    #[test]
-    fn rejects_truncation() {
-        let m = model(1);
-        let bytes = save_model(&m).unwrap();
-        assert!(load_model(&bytes[..bytes.len() - 4]).is_err());
-        assert!(load_model(&bytes[..4]).is_err());
-        let v1 = save_model_v1(&m).unwrap();
-        assert!(load_model(&v1[..v1.len() - 4]).is_err());
+    fn rejects_configs_the_builder_would_refuse() {
+        let spec = TaskSpec {
+            name: "wide".into(),
+            width: 2,
+            length: 2,
+            classes: 2,
+            levels: 2,
+        };
+        let valid = UniVsaConfig::for_task(&spec).d_k(1).build().unwrap();
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut oversized = |config: UniVsaConfig| {
+            let channels = config.encoding_channels();
+            let kernel = if config.enhancements.biconv {
+                vec![0; config.out_channels]
+            } else {
+                Vec::new()
+            };
+            let model = UniVsaModel::from_parts(
+                config.clone(),
+                Mask::all_high(4),
+                BitMatrix::random(2, config.d_h, &mut rng),
+                BitMatrix::random(2, config.effective_d_l(), &mut rng),
+                kernel,
+                BitMatrix::random(channels, 4, &mut rng),
+                vec![BitMatrix::random(2, 4, &mut rng)],
+            )
+            .unwrap();
+            save_model(&model).unwrap()
+        };
+        // D_H = 2^16 with BiConv off: 2^16 encoding channels
+        let wide_d_h = oversized(UniVsaConfig {
+            d_h: 1 << 16,
+            d_l: 1,
+            enhancements: Enhancements::none(),
+            ..valid.clone()
+        });
+        assert_eq!(wide_d_h.len(), 557_194);
+        let err = load_model(&wide_d_h).unwrap_err();
+        assert!(err.to_string().contains("D_H"), "{err}");
+        // O = 2^16 with BiConv on: same channel count through the conv
+        let wide_o = oversized(UniVsaConfig {
+            out_channels: 1 << 16,
+            enhancements: Enhancements::all(),
+            ..valid
+        });
+        let err = load_model(&wide_o).unwrap_err();
+        assert!(err.to_string().contains("encoding channels"), "{err}");
     }
 
     #[test]

@@ -1,5 +1,12 @@
-//! Packed bitwise inference — the exact computation the paper's hardware
-//! performs.
+//! The reference inference engine: the paper's pipeline stage by stage
+//! on [`BitMatrix`] rows — DVP value map, packed BiConv, majority
+//! encoding, per-voter similarities — with every intermediate kept in an
+//! [`InferenceTrace`].
+//!
+//! It is the oracle, not the production path. Deployment, evaluation and
+//! every CLI surface run [`crate::PackedModel`], whose labels and
+//! similarity totals the property suites hold bit-identical to
+//! [`UniVsaModel::trace`].
 
 use std::time::Instant;
 
@@ -151,61 +158,15 @@ impl UniVsaModel {
         })
     }
 
-    /// Encodes one sample to its bipolar VSA vector `s` without
-    /// classifying.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UniVsaError::Input`] on geometry mismatch.
-    pub fn encode(&self, values: &[u8]) -> Result<BitVec, UniVsaError> {
-        Ok(self.trace(values)?.encoded)
-    }
-
-    /// Accuracy over a labelled dataset.
+    /// Accuracy over a labelled dataset, through the packed engine
+    /// ([`crate::PackedModel::evaluate`]).
     ///
     /// # Errors
     ///
     /// Returns [`UniVsaError::Input`] if the dataset geometry disagrees
     /// with the model or the dataset is empty.
     pub fn evaluate(&self, dataset: &Dataset) -> Result<f64, UniVsaError> {
-        if dataset.is_empty() {
-            return Err(UniVsaError::Input(
-                "cannot evaluate on an empty dataset".into(),
-            ));
-        }
-        let spec = dataset.spec();
-        let cfg = self.config();
-        if spec.width != cfg.width || spec.length != cfg.length || spec.classes != cfg.classes {
-            return Err(UniVsaError::Input(format!(
-                "dataset geometry ({}, {}, {} classes) disagrees with model ({}, {}, {})",
-                spec.width, spec.length, spec.classes, cfg.width, cfg.length, cfg.classes
-            )));
-        }
-        // compile once, then fan the independent per-sample inferences out
-        // to the worker pool through the packed engine (bit-identical to
-        // the reference path, several times faster); predictions come back
-        // in sample order, so the fold (and any error propagation) is
-        // deterministic at every thread count
-        let packed = crate::PackedModel::compile(self);
-        let samples = dataset.samples();
-        let telemetry = univsa_telemetry::enabled();
-        let preds = univsa_par::map_indexed("infer.evaluate", samples.len(), |i| {
-            let d = packed.infer_detailed(&samples[i].values)?;
-            Ok::<_, UniVsaError>((d.label, similarity_margin(&d.totals)))
-        });
-        let mut correct = 0usize;
-        for (pred, sample) in preds.into_iter().zip(samples) {
-            let (label, margin) = pred?;
-            if telemetry {
-                // labels are available here, so feed the quality plane's
-                // confusion/calibration stream alongside the accuracy fold
-                univsa_telemetry::record_outcome(sample.label as u32, label as u32, margin);
-            }
-            if label == sample.label {
-                correct += 1;
-            }
-        }
-        Ok(correct as f64 / dataset.len() as f64)
+        crate::PackedModel::compile(self).evaluate(dataset)
     }
 
     /// Full confusion matrix over a labelled dataset — balanced accuracy
@@ -219,27 +180,7 @@ impl UniVsaModel {
         &self,
         dataset: &Dataset,
     ) -> Result<univsa_nn::ConfusionMatrix, UniVsaError> {
-        if dataset.is_empty() {
-            return Err(UniVsaError::Input(
-                "cannot evaluate on an empty dataset".into(),
-            ));
-        }
-        let packed = crate::PackedModel::compile(self);
-        let samples = dataset.samples();
-        let telemetry = univsa_telemetry::enabled();
-        let preds = univsa_par::map_indexed("infer.evaluate", samples.len(), |i| {
-            let d = packed.infer_detailed(&samples[i].values)?;
-            Ok::<_, UniVsaError>((d.label, similarity_margin(&d.totals)))
-        });
-        let mut cm = univsa_nn::ConfusionMatrix::new(self.config().classes);
-        for (pred, sample) in preds.into_iter().zip(samples) {
-            let (label, margin) = pred?;
-            if telemetry {
-                univsa_telemetry::record_outcome(sample.label as u32, label as u32, margin);
-            }
-            cm.record(sample.label, label);
-        }
-        Ok(cm)
+        crate::PackedModel::compile(self).evaluate_confusion(dataset)
     }
 
     /// The packed binary convolution: for every output channel and grid
@@ -400,7 +341,6 @@ pub(crate) mod tests {
                 .max_by_key(|&j| (t.totals[j], std::cmp::Reverse(j)))
                 .unwrap()
         );
-        assert_eq!(model.encode(&values).unwrap(), t.encoded);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Online fault detection and repair for deployed models.
 //!
-//! Three layers of defence, mirroring what the FPGA deployment would do in
+//! Two layers of defence, mirroring what the FPGA deployment would do in
 //! BRAM:
 //!
 //! 1. **Detection** — [`ModelIntegrity`] holds one CRC32 per weight
@@ -12,10 +12,10 @@
 //!    bitwise majority voting across `R` redundant weight copies: with at
 //!    most `⌊R/2⌋` corrupted copies per bit, the voted model equals the
 //!    clean one.
-//! 3. **Graded confidence** — [`UniVsaModel::infer_checked`] returns the
-//!    prediction together with its similarity margin and soft-voting
-//!    agreement, so a runtime can flag low-confidence decisions for
-//!    re-computation instead of trusting a possibly-corrupted datapath.
+//!
+//! A runtime that wants graded confidence reads the decision's
+//! similarity margin from [`crate::PackedModel::infer_detailed`] through
+//! [`crate::similarity_margin`].
 
 use univsa_bits::{BitMatrix, BitVec};
 
@@ -133,19 +133,6 @@ impl IntegrityReport {
     }
 }
 
-/// A prediction with the confidence evidence a fault-aware runtime needs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckedInference {
-    /// The predicted class — identical to [`UniVsaModel::infer`].
-    pub label: usize,
-    /// Similarity margin: winning total minus the runner-up total. Small
-    /// margins are the decisions weight corruption flips first.
-    pub margin: i64,
-    /// Fraction of soft-voting heads whose own argmax agrees with the
-    /// final label (1.0 when `Θ = 1`).
-    pub voter_agreement: f64,
-}
-
 impl UniVsaModel {
     /// Computes the per-component checksums of this model's weights.
     pub fn integrity(&self) -> ModelIntegrity {
@@ -218,44 +205,6 @@ impl UniVsaModel {
             f,
             c,
         )
-    }
-
-    /// Classifies one sample and reports the decision's margin and voter
-    /// agreement. The label always equals [`UniVsaModel::infer`] on the
-    /// same input — this adds evidence, never changes the answer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UniVsaError::Input`] on geometry mismatch, exactly like
-    /// [`UniVsaModel::infer`].
-    pub fn infer_checked(&self, values: &[u8]) -> Result<CheckedInference, UniVsaError> {
-        let trace = self.trace(values)?;
-        let label = trace.label;
-        let margin = trace
-            .totals
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != label)
-            .map(|(_, &t)| trace.totals[label] - t)
-            .min()
-            .unwrap_or(0);
-        let voters = trace.similarities.len();
-        let agreeing = trace
-            .similarities
-            .iter()
-            .filter(|sims| {
-                sims.iter()
-                    .enumerate()
-                    .max_by(|(ia, a), (ib, b)| a.cmp(b).then(ib.cmp(ia)))
-                    .map(|(j, _)| j)
-                    == Some(label)
-            })
-            .count();
-        Ok(CheckedInference {
-            label,
-            margin,
-            voter_agreement: agreeing as f64 / voters.max(1) as f64,
-        })
     }
 }
 
@@ -424,19 +373,5 @@ mod tests {
             UniVsaModel::repair_from_copies(&[m.clone(), bad(1), m.clone(), bad(2), m.clone()])
                 .unwrap();
         assert_eq!(repaired, m);
-    }
-
-    #[test]
-    fn infer_checked_matches_infer() {
-        let m = model(5);
-        for s in 0..8u8 {
-            let values: Vec<u8> = (0..24)
-                .map(|i| ((i as u8).wrapping_mul(s + 1)) % 8)
-                .collect();
-            let checked = m.infer_checked(&values).unwrap();
-            assert_eq!(checked.label, m.infer(&values).unwrap());
-            assert!(checked.margin >= 0, "winner's margin cannot be negative");
-            assert!((0.0..=1.0).contains(&checked.voter_agreement));
-        }
     }
 }

@@ -1,13 +1,10 @@
 //! Minimal JSON reader/writer (no external dependencies).
 //!
-//! Originally built for the legacy v1 model container (which serialized
-//! [`crate::UniVsaModel`] through `serde_json` derive — this module
-//! replicates that exact document layout so v1 files keep loading after
-//! the workspace dropped its external dependencies). It is public because
-//! downstream tooling also uses it to parse the telemetry JSONL stream and
-//! the perf-baseline report. Deliberately tiny: objects, arrays, strings,
-//! booleans, numbers — with unsigned 64-bit integers preserved exactly,
-//! because packed weight words must not pass through an `f64`.
+//! Public because the workspace's tooling uses it to write and parse the
+//! perf-baseline report, the telemetry JSONL stream and Chrome traces.
+//! Deliberately tiny: objects, arrays, strings, booleans, numbers — with
+//! unsigned 64-bit integers preserved exactly, so counters and sizes never
+//! pass through an `f64`.
 
 use std::fmt::Write as _;
 
@@ -60,11 +57,6 @@ impl Json {
             Json::Num(_, exact) => *exact,
             _ => None,
         }
-    }
-
-    /// The exact value as `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|v| usize::try_from(v).ok())
     }
 
     /// The numeric value, when this is any number.
@@ -331,7 +323,7 @@ mod tests {
         let doc = br#"{"config":{"d_h":4,"high_fraction":0.75},"mask":{"bits":[true,false]},"words":[18446744073709551615,0]}"#;
         let v = parse(doc).unwrap();
         assert_eq!(
-            v.get("config").unwrap().get("d_h").unwrap().as_usize(),
+            v.get("config").unwrap().get("d_h").unwrap().as_u64(),
             Some(4)
         );
         assert_eq!(

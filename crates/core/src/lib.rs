@@ -53,6 +53,7 @@
 #![warn(missing_docs)]
 
 mod audit;
+mod codec;
 mod compile;
 mod config;
 mod dvp;
@@ -76,13 +77,13 @@ pub use config::{ConfigBuilder, Enhancements, UniVsaConfig};
 pub use dvp::ValueMap;
 pub use encoding::EncodingLayer;
 pub use error::UniVsaError;
-pub use export::{load_model, save_model, save_model_v1};
+pub use export::{load_model, save_model};
 pub use fault::{
     ChaosSpec, FaultModel, FaultOutcome, FaultSpec, FaultTarget, SensorFault, SensorFaultSpec,
     CHAOS_ENV_VAR,
 };
 pub use infer::{similarity_margin, InferenceTrace};
-pub use integrity::{crc32, CheckedInference, IntegrityReport, ModelIntegrity};
+pub use integrity::{crc32, IntegrityReport, ModelIntegrity};
 pub use mask::Mask;
 pub use memory::{resource_estimate, HardwareLoss, MemoryReport};
 pub use model::UniVsaModel;

@@ -211,7 +211,7 @@ proptest! {
     #[test]
     fn encoded_vector_has_model_dimension(case in arb_case()) {
         let model = random_model(&case);
-        let s = model.encode(&case.values).unwrap();
+        let s = model.trace(&case.values).unwrap().encoded;
         prop_assert_eq!(s.dim(), case.config.vsa_dim());
     }
 
@@ -264,15 +264,12 @@ proptest! {
     }
 
     #[test]
-    fn v1_and_v2_containers_roundtrip_identically(case in arb_case()) {
+    fn v2_container_roundtrips_identically(case in arb_case()) {
         let model = random_model(&case);
-        let v1 = univsa::save_model_v1(&model).unwrap();
-        let v2 = univsa::save_model(&model).unwrap();
-        prop_assert_ne!(&v1, &v2);
-        let from_v1 = univsa::load_model(&v1).unwrap();
-        let from_v2 = univsa::load_model(&v2).unwrap();
-        prop_assert_eq!(&from_v1, &model);
-        prop_assert_eq!(&from_v1, &from_v2);
+        let bytes = univsa::save_model(&model).unwrap();
+        let restored = univsa::load_model(&bytes).unwrap();
+        prop_assert_eq!(&restored, &model);
+        prop_assert_eq!(univsa::save_model(&restored).unwrap(), bytes);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 
 use crate::quality::{CalibrationBin, QualityStats};
 
-/// Codec version stamped on every encoded batch. Version 2 appended the
-/// quality-stats section; version-1 batches (no quality payload) still
-/// decode, so a fleet can mix old workers with a new supervisor.
+/// Codec version stamped on every encoded batch. The supervisor and its
+/// workers are the same binary, so a decoder only ever meets its own
+/// version.
 const VERSION: u8 = 2;
 
 /// One completed span captured inside a worker process.
@@ -65,8 +65,7 @@ pub struct WorkerBatch {
     pub counters: Vec<(String, u64)>,
     /// Spans completed since the previous flush.
     pub spans: Vec<WorkerSpan>,
-    /// Prediction-quality stats accumulated since the previous flush
-    /// (codec v2; decodes empty from a v1 batch).
+    /// Prediction-quality stats accumulated since the previous flush.
     pub quality: QualityStats,
 }
 
@@ -112,7 +111,7 @@ impl WorkerBatch {
             out.extend_from_slice(&span.start_ns.to_le_bytes());
             out.extend_from_slice(&span.dur_ns.to_le_bytes());
         }
-        // v2 quality section
+        // quality section
         let q = &self.quality;
         match &q.task {
             Some(task) => {
@@ -159,7 +158,7 @@ impl WorkerBatch {
     pub fn decode(bytes: &[u8]) -> Result<WorkerBatch, String> {
         let mut r = Reader { bytes, pos: 0 };
         let version = r.u8()?;
-        if version != 1 && version != VERSION {
+        if version != VERSION {
             return Err(format!("unsupported telemetry batch version {version}"));
         }
         let clock_ns = r.u64()?;
@@ -195,49 +194,45 @@ impl WorkerBatch {
                 dur_ns: r.u64()?,
             });
         }
-        let quality = if version >= 2 {
-            let task = match r.u8()? {
-                0 => None,
-                1 => Some(r.string("quality task")?),
-                other => return Err(format!("invalid quality task flag {other}")),
+        let task = match r.u8()? {
+            0 => None,
+            1 => Some(r.string("quality task")?),
+            other => return Err(format!("invalid quality task flag {other}")),
+        };
+        let mut margins = crate::quality::MarginSketch::new();
+        margins.count = r.u64()?;
+        margins.sum = r.u128()?;
+        margins.min = r.u64()?;
+        margins.max = r.u64()?;
+        for c in margins.counts.iter_mut() {
+            *c = r.u64()?;
+        }
+        let n_classes = r.count("quality classes", 12)?;
+        let mut predictions = std::collections::BTreeMap::new();
+        for _ in 0..n_classes {
+            let class = r.string("quality class")?;
+            predictions.insert(class, r.u64()?);
+        }
+        let mut confusion = crate::quality::Confusion::new();
+        confusion.labeled = r.u64()?;
+        confusion.correct = r.u64()?;
+        for bin in confusion.bins.iter_mut() {
+            *bin = CalibrationBin {
+                total: r.u64()?,
+                correct: r.u64()?,
             };
-            let mut margins = crate::quality::MarginSketch::new();
-            margins.count = r.u64()?;
-            margins.sum = r.u128()?;
-            margins.min = r.u64()?;
-            margins.max = r.u64()?;
-            for c in margins.counts.iter_mut() {
-                *c = r.u64()?;
-            }
-            let n_classes = r.count("quality classes", 12)?;
-            let mut predictions = std::collections::BTreeMap::new();
-            for _ in 0..n_classes {
-                let class = r.string("quality class")?;
-                predictions.insert(class, r.u64()?);
-            }
-            let mut confusion = crate::quality::Confusion::new();
-            confusion.labeled = r.u64()?;
-            confusion.correct = r.u64()?;
-            for bin in confusion.bins.iter_mut() {
-                *bin = CalibrationBin {
-                    total: r.u64()?,
-                    correct: r.u64()?,
-                };
-            }
-            let n_pairs = r.count("confusion pairs", 16)?;
-            for _ in 0..n_pairs {
-                let truth = r.u32()?;
-                let predicted = r.u32()?;
-                confusion.pairs.insert((truth, predicted), r.u64()?);
-            }
-            QualityStats {
-                task,
-                margins,
-                predictions,
-                confusion,
-            }
-        } else {
-            QualityStats::default()
+        }
+        let n_pairs = r.count("confusion pairs", 16)?;
+        for _ in 0..n_pairs {
+            let truth = r.u32()?;
+            let predicted = r.u32()?;
+            confusion.pairs.insert((truth, predicted), r.u64()?);
+        }
+        let quality = QualityStats {
+            task,
+            margins,
+            predictions,
+            confusion,
         };
         if r.pos != r.bytes.len() {
             return Err(format!(
@@ -458,25 +453,13 @@ mod tests {
     }
 
     #[test]
-    fn version_one_batches_still_decode_with_empty_quality() {
-        // hand-built v1 frame: header, one counter, no spans, no quality
-        let mut bytes = vec![1u8];
-        bytes.extend_from_slice(&77u64.to_le_bytes()); // clock_ns
-        bytes.extend_from_slice(&1u64.to_le_bytes()); // dropped
-        bytes.extend_from_slice(&(-8i64).to_le_bytes()); // net_bytes
-        bytes.extend_from_slice(&3u64.to_le_bytes()); // alloc_count
-        bytes.extend_from_slice(&4096u64.to_le_bytes()); // peak_bytes
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // counters
-        put_str(&mut bytes, "jobs");
-        bytes.extend_from_slice(&5u64.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // spans
-        let batch = WorkerBatch::decode(&bytes).unwrap();
-        assert_eq!(batch.clock_ns, 77);
-        assert_eq!(batch.counters, vec![("jobs".to_string(), 5)]);
-        assert!(batch.quality.is_empty());
-        // a v1 frame with trailing garbage is still rejected
-        bytes.push(0);
-        assert!(WorkerBatch::decode(&bytes).unwrap_err().contains("trailing"));
+    fn other_versions_are_rejected() {
+        let mut bytes = example().encode();
+        for version in [0, 1, VERSION + 1] {
+            bytes[0] = version;
+            let err = WorkerBatch::decode(&bytes).unwrap_err();
+            assert!(err.contains("unsupported telemetry batch version"), "{err}");
+        }
     }
 
     #[test]
