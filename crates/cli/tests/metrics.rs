@@ -4,15 +4,28 @@
 //!
 //! Both phases live in one test because the first asserts a
 //! process-global zero (`live_server_count`) that the second violates on
-//! purpose — running them in parallel threads would race.
+//! purpose — running them in parallel threads would race. For the same
+//! reason every test here that starts an exporter holds [`EXPORTER`].
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use univsa::{TrainOptions, UniVsaConfig, UniVsaTrainer};
+
+/// Serialises the tests that start an exporter: the process-global
+/// `live_server_count` must only ever see one test's server.
+static EXPORTER: Mutex<()> = Mutex::new(());
+
+/// Takes [`EXPORTER`]; a sibling test that panicked while holding it has
+/// already shut its server down (the guard drops after the server).
+fn exporter_lock() -> MutexGuard<'static, ()> {
+    EXPORTER
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Minimal blocking HTTP GET, returning the response body.
 fn http_get(addr: SocketAddr, path: &str) -> String {
@@ -31,6 +44,7 @@ fn http_get(addr: SocketAddr, path: &str) -> String {
 
 #[test]
 fn disabled_means_no_socket_and_live_endpoint_stays_consistent_under_fit() {
+    let _exporter = exporter_lock();
     // phase 1 — UNIVSA_METRICS_ADDR unset: no exporter is created, no
     // thread spawned, no socket opened
     assert!(
@@ -135,6 +149,7 @@ impl std::io::Write for SharedSink {
 
 #[test]
 fn top_losing_a_live_endpoint_mid_poll_is_a_typed_connection_lost() {
+    let _exporter = exporter_lock();
     let server = univsa_telemetry::start_exporter("127.0.0.1:0").unwrap();
     let addr = server.local_addr().to_string();
 

@@ -140,16 +140,22 @@ impl BinaryConv2d {
                 inputs.len()
             )));
         }
-        let fan_in = (self.spec.in_channels * self.spec.kernel * self.spec.kernel) as f32;
+        let inv_fan_in = 1.0 / (self.spec.in_channels * self.spec.kernel * self.spec.kernel) as f32;
         let kb = self.binary_kernel();
         let spec = self.spec;
         // per-sample kernel/input gradients run on workers; the shared
         // kernel gradient is reduced afterwards in strict sample order, so
         // the f32 sums match the serial fold bit-for-bit
         let results = univsa_par::map_indexed("train.conv_bwd", grad_out.len(), |i| {
-            // STE through the output sign, window scaled by fan-in.
-            let scaled = preacts[i].scale(1.0 / fan_in);
-            let g_pre = ste_grad(&grad_out[i], &scaled);
+            // STE through the output sign, window scaled by fan-in, in one
+            // pass: the same predicate as `ste_grad` on the scaled preact
+            let g_pre = grad_out[i].zip_map(&preacts[i], |g, p| {
+                if (p * inv_fan_in).abs() <= 1.0 {
+                    g
+                } else {
+                    0.0
+                }
+            })?;
             let dk = conv2d_kernel_grad(&inputs[i], &g_pre, &spec)?;
             let gi = conv2d_input_grad(&g_pre, &kb, &spec)?;
             Ok::<_, ShapeError>((dk, gi))

@@ -10,8 +10,24 @@
 //! Zero padding is sound in the bipolar domain: a padded `0` contributes
 //! nothing to the pre-activation sum, which is exactly how the hardware's
 //! boundary handling behaves.
+//!
+//! Each optimized kernel is bit-identical to its `*_naive` oracle because
+//! it keeps the oracle's per-element accumulation order: the forward sums
+//! taps in `(c, ky, kx)` order, the input gradient in `(co, ky, kx)`
+//! order, and the kernel gradient sums one row dot per output row in
+//! ascending `ox` and folds the row sums in ascending `oy`. Lanes, tiles
+//! and blocks only decide which accumulators share a register.
 
 use crate::{gemm, ShapeError, Tensor};
+
+/// Output channels accumulated side by side in the kernel gradient.
+const LANES: usize = 16;
+/// Input channels per register tile of the input gradient.
+const CT: usize = 4;
+/// Output positions per register tile of the input gradient.
+const XT: usize = 8;
+/// Output channels per L1-resident tap block of the input gradient.
+const OB: usize = 4;
 
 /// Geometry of a stride-1 `same`-padded 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,7 +129,7 @@ pub fn conv2d(input: &Tensor, kernel: &Tensor, spec: &Conv2dSpec) -> Result<Tens
     // row order (c, ky, kx) matches the naive tap order, and out-of-bounds
     // taps become ±0 products, so the result is bit-identical to
     // [`conv2d_naive`].
-    let cols = shifted_cols(input.as_slice(), ci, h, w, k, spec.pad(), false);
+    let cols = shifted_cols(input.as_slice(), ci, h, w, k, spec.pad());
     let mut out = vec![0.0f32; spec.out_channels * hw];
     gemm::gemm(
         kernel.as_slice(),
@@ -170,7 +186,7 @@ pub fn conv2d_naive(
                         }
                         let shift = kx as isize - pad;
                         let lo = (-shift).max(0) as usize;
-                        let hi = (w as isize).min(w as isize - shift) as usize;
+                        let hi = (w as isize - shift).clamp(0, w as isize) as usize;
                         if lo >= hi {
                             continue;
                         }
@@ -202,33 +218,93 @@ pub fn conv2d_input_grad(
     spec.validate()?;
     check_dims(grad_out, &spec.output_dims(), "conv2d_input_grad grad_out")?;
     check_dims4(kernel, &spec.kernel_dims(), "conv2d_input_grad kernel")?;
-    let (ci, h, w, k) = (spec.in_channels, spec.height, spec.width, spec.kernel);
-    let hw = h * w;
-    let cokk = spec.out_channels * k * k;
-    // The input gradient is a correlation with the flipped kernel:
-    // d input[c] = Σ_{co,ky,kx} g[co, ·+pad-ky, ·+pad-kx] · K[co, c, ky, kx].
-    // Permute the kernel to (C_in × C_out·K·K) and lower grad_out with
-    // flipped offsets; per-element tap order (co, ky, kx) then matches
-    // [`conv2d_input_grad_naive`] exactly.
+    let (ci, co, h, w, k) = (
+        spec.in_channels,
+        spec.out_channels,
+        spec.height,
+        spec.width,
+        spec.kernel,
+    );
+    let pad = k / 2;
+    let kk = k * k;
+    // d input[c, iy, ix] = Σ_{co,ky,kx} g[co, iy+pad-ky, ix+pad-kx] · K[co, c, ky, kx],
+    // computed directly as register tiles of CT channels × XT positions. The kernel is transposed to
+    // ((co, ky, kx), C_in) so a channel tile is one contiguous load; the
+    // channel count is padded with zero taps to whole tiles.
+    let cp = ci.next_multiple_of(CT);
     let kbuf = kernel.as_slice();
-    let mut w2 = vec![0.0f32; ci * cokk];
-    for co in 0..spec.out_channels {
+    let mut kt = vec![0.0f32; co * kk * cp];
+    for o in 0..co {
         for c in 0..ci {
-            let src = &kbuf[(co * ci + c) * k * k..][..k * k];
-            w2[c * cokk + co * k * k..][..k * k].copy_from_slice(src);
+            for (t, &v) in kbuf[(o * ci + c) * kk..][..kk].iter().enumerate() {
+                kt[(o * kk + t) * cp + c] = v;
+            }
         }
     }
-    let gcols = shifted_cols(
-        grad_out.as_slice(),
-        spec.out_channels,
-        h,
-        w,
-        k,
-        spec.pad(),
-        true,
-    );
-    let mut out = vec![0.0f32; ci * hw];
-    gemm::gemm(&w2, &gcols, ci, cokk, hw, &mut out);
+    // grad_out on a zero-padded plane: a `2·pad` halo makes every tap an
+    // in-bounds read, and the width is rounded up so a position tile never
+    // runs off a row. A halo tap (or a zero kernel tap, which the oracle
+    // skips) adds a ±0 product, which cannot change a +0-started
+    // accumulator.
+    let wt = w.next_multiple_of(XT);
+    let (ph, pw) = (h + 2 * pad, wt + 2 * pad);
+    let g = grad_out.as_slice();
+    let mut gp = vec![0.0f32; co * ph * pw];
+    for o in 0..co {
+        for y in 0..h {
+            gp[(o * ph + y + pad) * pw + pad..][..w].copy_from_slice(&g[(o * h + y) * w..][..w]);
+        }
+    }
+    // plane offset of every (co, ky, kx) tap, relative to output (0, 0)
+    let mut taps = Vec::with_capacity(co * kk);
+    for o in 0..co {
+        for ky in 0..k {
+            for kx in 0..k {
+                taps.push((o * ph + 2 * pad - ky) * pw + 2 * pad - kx);
+            }
+        }
+    }
+    // Taps run in blocks of OB output channels so a block's grad planes
+    // stay in L1 while every tile passes over them. Each tile's
+    // accumulators are parked in `out` between blocks, so per element the
+    // taps still add in ascending (co, ky, kx) order — bit-identical to
+    // [`conv2d_input_grad_naive`]. `out` holds whole tiles (cp × H × wt)
+    // until it is compacted at the end.
+    let mut out = vec![0.0f32; cp * h * wt];
+    for o0 in (0..co).step_by(OB) {
+        let block = o0 * kk..(o0 + OB).min(co) * kk;
+        let btaps = &taps[block.clone()];
+        let bkt = &kt[block.start * cp..block.end * cp];
+        for c0 in (0..cp).step_by(CT) {
+            for iy in 0..h {
+                for x0 in (0..wt).step_by(XT) {
+                    let at = |l: usize| ((c0 + l) * h + iy) * wt + x0;
+                    let mut acc = [[0.0f32; XT]; CT];
+                    for (l, a) in acc.iter_mut().enumerate() {
+                        a.copy_from_slice(&out[at(l)..][..XT]);
+                    }
+                    for (&tap, kcol) in btaps.iter().zip(bkt.chunks_exact(cp)) {
+                        let gv: &[f32; XT] = gp[tap + iy * pw + x0..][..XT]
+                            .try_into()
+                            .expect("tile width");
+                        for (a, &kc) in acc.iter_mut().zip(&kcol[c0..c0 + CT]) {
+                            for (s, &gx) in a.iter_mut().zip(gv) {
+                                *s += kc * gx;
+                            }
+                        }
+                    }
+                    for (l, a) in acc.iter().enumerate() {
+                        out[at(l)..][..XT].copy_from_slice(a);
+                    }
+                }
+            }
+        }
+    }
+    // compact (C_in, H, wt) rows to (C_in, H, W); rows only move left
+    for row in 0..ci * h {
+        out.copy_within(row * wt..row * wt + w, row * w);
+    }
+    out.truncate(ci * h * w);
     Tensor::from_vec(out, &spec.input_dims())
 }
 
@@ -274,7 +350,7 @@ pub fn conv2d_input_grad_naive(
                         // ox = ix + pad - kx ⇒ source shifted by (pad - kx)
                         let shift = pad - kx as isize;
                         let lo = (-shift).max(0) as usize;
-                        let hi = (w as isize).min(w as isize - shift) as usize;
+                        let hi = (w as isize - shift).clamp(0, w as isize) as usize;
                         if lo >= hi {
                             continue;
                         }
@@ -305,50 +381,70 @@ pub fn conv2d_kernel_grad(
     spec.validate()?;
     check_dims(input, &spec.input_dims(), "conv2d_kernel_grad input")?;
     check_dims(grad_out, &spec.output_dims(), "conv2d_kernel_grad grad_out")?;
-    let (ci, h, w, k) = (spec.in_channels, spec.height, spec.width, spec.kernel);
+    let (ci, co, h, w, k) = (
+        spec.in_channels,
+        spec.out_channels,
+        spec.height,
+        spec.width,
+        spec.kernel,
+    );
     let hw = h * w;
+    let kk = k * k;
     let pad = spec.pad();
     let x = input.as_slice();
     let g = grad_out.as_slice();
-    let mut out = vec![0.0f32; spec.out_channels * ci * k * k];
-    // Loop-reordered version of [`conv2d_kernel_grad_naive`]: the naive
-    // code streams all H rows of g and x once per kernel tap (long reuse
-    // distance); with `oy` outermost every g/x row loaded in an iteration
-    // is reused across all taps while L1-hot. The naive oracle folds a
-    // per-row dot into each tap's accumulator in ascending `oy` order —
-    // `oy` outermost reproduces exactly that two-level sum, so this
-    // cannot be flattened into a GEMM (a flat dot would reassociate) but
-    // is bit-identical as written.
-    for oy in 0..h {
-        for ky in 0..k {
-            let iy = oy as isize + ky as isize - pad;
-            if iy < 0 || iy >= h as isize {
-                continue;
-            }
+    // Per tap the naive oracle sums one row dot (ascending `ox`) per
+    // output row and folds the row sums into the tap, starting from +0, in
+    // ascending `oy`. A flat dot over all rows would reassociate, so it is
+    // not a GEMM. But output channels are independent accumulators:
+    // grad_out is transposed to [co tile][oy][ox][lane] and LANES channels
+    // run side by side, each lane keeping exactly the two-level order, so
+    // the result is bit-identical. Lanes past C_out see zero gradients and
+    // land in padding rows of `out` that are truncated away.
+    let tiles = co.div_ceil(LANES);
+    let mut gt = vec![0.0f32; tiles * hw * LANES];
+    for o in 0..co {
+        let (tile, lane) = (o / LANES, o % LANES);
+        for (p, &v) in g[o * hw..][..hw].iter().enumerate() {
+            gt[(tile * hw + p) * LANES + lane] = v;
+        }
+    }
+    let mut out = vec![0.0f32; tiles * LANES * ci * kk];
+    for tile in 0..tiles {
+        for oy in 0..h {
+            let gtile = &gt[(tile * hw + oy * w) * LANES..][..w * LANES];
             for c in 0..ci {
-                let xrow = &x[c * hw + iy as usize * w..][..w];
-                for co in 0..spec.out_channels {
-                    let grow = &g[co * hw + oy * w..][..w];
-                    let obase = (co * ci + c) * k * k + ky * k;
+                for ky in 0..k {
+                    let iy = oy as isize + ky as isize - pad;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    let xrow = &x[c * hw + iy as usize * w..][..w];
                     for kx in 0..k {
                         let shift = kx as isize - pad;
                         let lo = (-shift).max(0) as usize;
-                        let hi = (w as isize).min(w as isize - shift) as usize;
+                        let hi = (w as isize - shift).clamp(0, w as isize) as usize;
                         if lo >= hi {
                             continue;
                         }
-                        let src =
-                            &xrow[(lo as isize + shift) as usize..(hi as isize + shift) as usize];
-                        out[obase + kx] += grow[lo..hi]
-                            .iter()
-                            .zip(src)
-                            .map(|(&gv, &xv)| gv * xv)
-                            .sum::<f32>();
+                        let src = &xrow[(lo as isize + shift) as usize..][..hi - lo];
+                        let mut row = [0.0f32; LANES];
+                        for (gv, &xv) in gtile[lo * LANES..hi * LANES].chunks_exact(LANES).zip(src)
+                        {
+                            for (r, &gl) in row.iter_mut().zip(gv) {
+                                *r += gl * xv;
+                            }
+                        }
+                        let tap = (c * k + ky) * k + kx;
+                        for (lane, r) in row.into_iter().enumerate() {
+                            out[((tile * LANES + lane) * ci) * kk + tap] += r;
+                        }
                     }
                 }
             }
         }
     }
+    out.truncate(co * ci * kk);
     Tensor::from_vec(out, &spec.kernel_dims())
 }
 
@@ -379,7 +475,7 @@ pub fn conv2d_kernel_grad_naive(
                     // dot products of shifted row slices
                     let shift = kx as isize - pad;
                     let lo = (-shift).max(0) as usize;
-                    let hi = (w as isize).min(w as isize - shift) as usize;
+                    let hi = (w as isize - shift).clamp(0, w as isize) as usize;
                     let mut acc = 0.0f32;
                     if lo < hi {
                         for oy in 0..h {
@@ -408,34 +504,16 @@ pub fn conv2d_kernel_grad_naive(
 }
 
 /// Lowers a `(chans, h, w)` map to a `(chans·k·k × h·w)` column matrix:
-/// row `(c, ky, kx)` holds `x[c, oy + dy, ox + dx]` with
-/// `(dy, dx) = (ky - pad, kx - pad)`, or the flipped offsets
-/// `(pad - ky, pad - kx)` when `flip` is set (used by the input-gradient
-/// correlation). Out-of-bounds taps stay zero.
-fn shifted_cols(
-    x: &[f32],
-    chans: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    pad: isize,
-    flip: bool,
-) -> Vec<f32> {
+/// row `(c, ky, kx)` holds `x[c, oy + ky - pad, ox + kx - pad]`.
+/// Out-of-bounds taps stay zero.
+fn shifted_cols(x: &[f32], chans: usize, h: usize, w: usize, k: usize, pad: isize) -> Vec<f32> {
     let hw = h * w;
     let mut cols = vec![0.0f32; chans * k * k * hw];
     for c in 0..chans {
         for ky in 0..k {
-            let dy = if flip {
-                pad - ky as isize
-            } else {
-                ky as isize - pad
-            };
+            let dy = ky as isize - pad;
             for kx in 0..k {
-                let dx = if flip {
-                    pad - kx as isize
-                } else {
-                    kx as isize - pad
-                };
+                let dx = kx as isize - pad;
                 let lo = (-dx).max(0) as usize;
                 let hi = ((w as isize).min(w as isize - dx)).max(0) as usize;
                 if lo >= hi {
@@ -590,8 +668,34 @@ mod tests {
         }
     }
 
-    /// The im2col / loop-reordered kernels must be bit-identical to the
-    /// naive oracles across kernel sizes and non-square maps.
+    /// Bitwise equality of all three optimized kernels with the naive
+    /// oracles (`assert_eq!` on tensors would let `-0.0 == 0.0` through).
+    fn assert_matches_naive(x: &Tensor, kn: &Tensor, g: &Tensor, s: &Conv2dSpec) {
+        let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let what = format!(
+            "{}x{} k{} {}x{}",
+            s.in_channels, s.out_channels, s.kernel, s.height, s.width
+        );
+        assert_eq!(
+            bits(conv2d(x, kn, s).unwrap()),
+            bits(conv2d_naive(x, kn, s).unwrap()),
+            "conv2d {what}"
+        );
+        assert_eq!(
+            bits(conv2d_input_grad(g, kn, s).unwrap()),
+            bits(conv2d_input_grad_naive(g, kn, s).unwrap()),
+            "input grad {what}"
+        );
+        assert_eq!(
+            bits(conv2d_kernel_grad(x, g, s).unwrap()),
+            bits(conv2d_kernel_grad_naive(x, g, s).unwrap()),
+            "kernel grad {what}"
+        );
+    }
+
+    /// The optimized kernels must be bit-identical to the naive oracles
+    /// across kernel sizes, non-square maps, and channel counts that do
+    /// not fill a lane or tile.
     #[test]
     fn optimized_conv_matches_naive_bit_exactly() {
         let mut rng = StdRng::seed_from_u64(99);
@@ -602,31 +706,54 @@ mod tests {
             (2, 4, 5, 6, 9),
             (4, 1, 5, 5, 4),
             (1, 2, 7, 9, 8),
+            (5, 17, 3, 3, 2),
+            (1, 3, 9, 3, 3),
         ] {
-            let s = spec(ci, co, k, h, w);
             let x = random_tensor(&[ci, h, w], &mut rng);
             let kn = random_tensor(&[co, ci, k, k], &mut rng);
             let g = random_tensor(&[co, h, w], &mut rng);
-            assert_eq!(
-                conv2d(&x, &kn, &s).unwrap(),
-                conv2d_naive(&x, &kn, &s).unwrap(),
-                "conv2d {ci}x{co} k{k} {h}x{w}"
-            );
-            assert_eq!(
-                conv2d_input_grad(&g, &kn, &s).unwrap(),
-                conv2d_input_grad_naive(&g, &kn, &s).unwrap(),
-                "input grad {ci}x{co} k{k} {h}x{w}"
-            );
-            assert_eq!(
-                conv2d_kernel_grad(&x, &g, &s).unwrap(),
-                conv2d_kernel_grad_naive(&x, &g, &s).unwrap(),
-                "kernel grad {ci}x{co} k{k} {h}x{w}"
-            );
+            assert_matches_naive(&x, &kn, &g, &spec(ci, co, k, h, w));
+        }
+    }
+
+    /// The six Table I BiConv geometries `(in, out, k, H, W)` as training
+    /// runs them: bipolar inputs, ±1 kernels, and STE-masked float
+    /// gradients with exact zeros.
+    #[test]
+    fn table1_conv_geometries_match_naive_bit_exactly() {
+        let mut rng = StdRng::seed_from_u64(2025);
+        for &(ci, co, k, h, w) in &[
+            (8usize, 95usize, 3usize, 16usize, 64usize),
+            (8, 151, 3, 16, 6),
+            (8, 16, 3, 23, 64),
+            (4, 16, 5, 23, 64),
+            (4, 22, 3, 16, 40),
+            (8, 18, 3, 16, 36),
+        ] {
+            let bipolar = |n: usize, rng: &mut StdRng| -> Vec<f32> {
+                (0..n)
+                    .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
+                    .collect()
+            };
+            let x = Tensor::from_vec(bipolar(ci * h * w, &mut rng), &[ci, h, w]).unwrap();
+            let kn = Tensor::from_vec(bipolar(co * ci * k * k, &mut rng), &[co, ci, k, k]).unwrap();
+            let g = (0..co * h * w)
+                .map(|_| {
+                    if rng.gen_range(0..3) == 0 {
+                        0.0
+                    } else {
+                        rng.gen_range(-1e-3..1e-3)
+                    }
+                })
+                .collect();
+            let g = Tensor::from_vec(g, &[co, h, w]).unwrap();
+            assert_matches_naive(&x, &kn, &g, &spec(ci, co, k, h, w));
         }
     }
 
     /// Exact zeros in kernel and input exercise the naive zero-skip paths
-    /// against the im2col ±0-product additions.
+    /// against the ±0 products the optimized kernels add (im2col and
+    /// halo zeros, zero kernel taps).
     #[test]
     fn optimized_conv_matches_naive_with_zeros() {
         let s = spec(2, 2, 3, 5, 6);
