@@ -373,7 +373,7 @@ fn git_commit() -> Option<String> {
 /// Table I task's smallest configuration is overkill here — one probe per
 /// slot pair suffices to exercise forwarding) and serializes the fleet
 /// incident counters plus the `fleet.*` telemetry rollups.
-fn fleet_phase(workers: usize, seed: u64) -> Json {
+fn fleet_phase(workers: usize, seed: u64) -> Result<Json, UniVsaError> {
     use univsa_dist::{FitnessJob, Job, Supervisor, SupervisorOptions, PROBE_KIND};
     // forwarding rides on the flight recorder; make sure it is on even
     // when --trace was not given
@@ -390,7 +390,7 @@ fn fleet_phase(workers: usize, seed: u64) -> Json {
     };
     let jobs: Vec<Job> = (0..(workers * 2).max(4))
         .map(|i| {
-            Job::new(
+            Ok(Job::new(
                 PROBE_KIND,
                 FitnessJob {
                     task: task.spec.name.clone(),
@@ -399,10 +399,10 @@ fn fleet_phase(workers: usize, seed: u64) -> Json {
                     epochs: 1,
                     genome,
                 }
-                .encode(),
-            )
+                .encode()?,
+            ))
         })
-        .collect();
+        .collect::<Result<_, UniVsaError>>()?;
     let supervisor = Supervisor::new(
         SupervisorOptions {
             workers,
@@ -411,9 +411,9 @@ fn fleet_phase(workers: usize, seed: u64) -> Json {
         },
         univsa_dist::standard_registry(),
     );
-    let (_, report) = supervisor.run_jobs(&jobs).expect("fleet probe sweep runs");
+    let (_, report) = supervisor.run_jobs(&jobs)?;
     let counter = univsa_telemetry::counter_value;
-    Json::Obj(vec![
+    Ok(Json::Obj(vec![
         ("workers".into(), num_u(report.workers as u64)),
         ("probe_jobs".into(), num_u(jobs.len() as u64)),
         ("spawned".into(), num_u(report.spawned)),
@@ -433,7 +433,7 @@ fn fleet_phase(workers: usize, seed: u64) -> Json {
             "fleet_peak_alloc_bytes".into(),
             num_u(counter("fleet.peak_alloc_bytes")),
         ),
-    ])
+    ]))
 }
 
 fn main() {
@@ -548,7 +548,8 @@ fn main() {
             "perf_baseline",
             &format!("fleet probe sweep over {workers} worker slot(s)"),
         );
-        fields.push(("fleet".into(), fleet_phase(workers, seed)));
+        let fleet = fleet_phase(workers, seed).expect("fleet probe sweep runs");
+        fields.push(("fleet".into(), fleet));
     }
     fields.push(("tasks".into(), Json::Arr(rows)));
     let report = Json::Obj(fields);

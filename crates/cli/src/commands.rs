@@ -498,7 +498,7 @@ fn search_with_fleet(
         let jobs: Vec<Job> = pending
             .iter()
             .map(|genome| {
-                Job::new(
+                Ok(Job::new(
                     kind,
                     FitnessJob {
                         task: task.spec.name.clone(),
@@ -507,10 +507,10 @@ fn search_with_fleet(
                         epochs,
                         genome: *genome,
                     }
-                    .encode(),
-                )
+                    .encode()?,
+                ))
             })
-            .collect();
+            .collect::<Result<_, UniVsaError>>()?;
         let (results, report) = supervisor.run_jobs(&jobs)?;
         accumulate(&mut fleet_total, report);
         results.iter().map(|bytes| decode_fitness(bytes)).collect()
@@ -621,7 +621,7 @@ fn run_seu(
         .iter()
         .flat_map(|&protection| (0..trials).map(move |trial| (protection, trial)))
         .map(|(protection, trial)| {
-            Job::new(
+            Ok(Job::new(
                 SEU_TRIAL_KIND,
                 SeuTrialJob {
                     spec: task.spec.clone(),
@@ -631,10 +631,10 @@ fn run_seu(
                     seed: seed + trial as u64,
                     samples,
                 }
-                .encode(),
-            )
+                .encode()?,
+            ))
         })
-        .collect();
+        .collect::<Result<_, UniVsaError>>()?;
     let supervisor = fleet_supervisor(workers, seed, chaos);
     let (results, report) = supervisor.run_jobs(&jobs)?;
     let outcomes = results
@@ -981,7 +981,7 @@ fn run_profile(
         let probe_jobs = (fleet_workers * 2).max(4);
         let jobs: Vec<Job> = (0..probe_jobs)
             .map(|i| {
-                Job::new(
+                Ok(Job::new(
                     PROBE_KIND,
                     FitnessJob {
                         task: task.spec.name.clone(),
@@ -990,10 +990,10 @@ fn run_profile(
                         epochs: 1,
                         genome,
                     }
-                    .encode(),
-                )
+                    .encode()?,
+                ))
             })
-            .collect();
+            .collect::<Result<_, UniVsaError>>()?;
         let supervisor = fleet_supervisor(Some(fleet_workers), seed, ChaosSpec::default());
         let (_, report) = supervisor.run_jobs(&jobs)?;
         writeln!(
@@ -1073,7 +1073,7 @@ fn run_fleet_report(
         .max(1);
     let job_list: Vec<Job> = (0..jobs)
         .map(|i| {
-            Job::new(
+            Ok(Job::new(
                 PROBE_KIND,
                 FitnessJob {
                     task: task.spec.name.clone(),
@@ -1082,10 +1082,10 @@ fn run_fleet_report(
                     epochs: 1,
                     genome,
                 }
-                .encode(),
-            )
+                .encode()?,
+            ))
         })
-        .collect();
+        .collect::<Result<_, UniVsaError>>()?;
     let supervisor = fleet_supervisor(Some(workers), seed, chaos);
     let (_, report) = supervisor.run_jobs(&job_list)?;
     writeln!(
@@ -1464,7 +1464,7 @@ fn run_quality(
     let jobs: Vec<Job> = (0..samples)
         .step_by(QUALITY_SHARD)
         .map(|start| {
-            Job::new(
+            Ok(Job::new(
                 QUALITY_KIND,
                 QualityJob {
                     task: name.clone(),
@@ -1475,10 +1475,10 @@ fn run_quality(
                     start,
                     len: QUALITY_SHARD.min(samples - start),
                 }
-                .encode(),
-            )
+                .encode()?,
+            ))
         })
-        .collect();
+        .collect::<Result<_, UniVsaError>>()?;
     let supervisor = fleet_supervisor(workers, seed, ChaosSpec::default());
     let (results, report) = supervisor.run_jobs(&jobs)?;
     // shards come back in job order, so this is the sequential stream

@@ -247,6 +247,30 @@ fn seu_campaign_is_identical_in_and_out_of_process() {
 }
 
 #[test]
+fn seu_samples_wider_than_their_job_field_are_refused() {
+    // `--samples` travels as a u32 job field: 2^32 + 1 must be refused
+    // by name, not run as the 1 sample its low 32 bits spell
+    let (stdout, stderr, ok) = run_cli(
+        &[
+            "seu",
+            "--task",
+            "bci3v",
+            "--trials",
+            "2",
+            "--samples",
+            "4294967297",
+            "--workers",
+            "0",
+            "--seed",
+            "3",
+        ],
+        &[],
+    );
+    assert!(!ok, "{stdout}");
+    assert!(stderr.contains("samples = 4294967297"), "{stderr}");
+}
+
+#[test]
 fn chaos_subcommand_gates_the_matrix() {
     let (stdout, stderr, ok) = run_cli(
         &[

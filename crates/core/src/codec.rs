@@ -1,14 +1,16 @@
-//! The byte codec shared by the model container (`UNIVSA\0\x01`, see
-//! `export.rs`) and the packed artifact (`UNIVSAPK`, see `compile.rs`).
+//! The little-endian byte codec behind every format that leaves the
+//! process: the model container (`UNIVSA\0\x01`, `export.rs`), the packed
+//! artifact (`UNIVSAPK`, `compile.rs`) and every IPC format of the
+//! `univsa-dist` worker fleet. Both containers open with the same 16-byte
+//! header (8-byte magic, `u32` version, `u32` payload length).
 //!
-//! Both containers open with the same 16-byte header — 8-byte magic,
-//! little-endian `u32` version, little-endian `u32` payload length — and
-//! encode their payloads from the same little-endian primitives: `u32`
-//! dimensions and section lengths, `u64` words, and bit masks packed LSB
-//! first. [`Writer`] produces those bytes and [`Reader`] consumes them.
-//! The reader is total: every malformed input maps to
-//! [`UniVsaError::Serialize`], and every length read from the input is
-//! checked against the bytes that remain before anything is allocated.
+//! [`Writer`] and [`Reader`] are total: [`Writer::len`] refuses a `usize`
+//! too wide for its `u32` field instead of truncating it, and the reader
+//! maps every malformed input to [`UniVsaError::Serialize`], checking each
+//! length and element count against the bytes that remain before
+//! allocating. The codec never branches on its caller; the IPC formats
+//! convert its errors to [`UniVsaError::Ipc`] once, at their own
+//! encode/decode boundary.
 
 use crate::UniVsaError;
 
@@ -27,10 +29,10 @@ impl Container {
     /// Prefixes `payload` with this container's header.
     pub fn frame(&self, payload: &[u8]) -> Result<Vec<u8>, UniVsaError> {
         let mut out = Writer::default();
-        out.bytes.extend_from_slice(self.magic);
+        out.raw(self.magic);
         out.u32(self.version);
         out.len(payload.len(), "payload length")?;
-        out.bytes.extend_from_slice(payload);
+        out.raw(payload);
         Ok(out.bytes)
     }
 
@@ -70,38 +72,49 @@ impl Container {
 }
 
 /// Little-endian payload writer.
-#[derive(Default)]
-pub(crate) struct Writer {
-    pub bytes: Vec<u8>,
+#[derive(Debug, Default)]
+pub struct Writer {
+    bytes: Vec<u8>,
 }
 
 impl Writer {
-    pub fn u8(&mut self, v: u8) {
-        self.bytes.push(v);
+    /// The bytes written so far.
+    #[must_use]
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
     }
 
-    pub fn u32(&mut self, v: u32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+    /// Appends `bytes` verbatim, without a length prefix.
+    fn raw(&mut self, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
     }
 
-    pub fn u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn f32(&mut self, v: f32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// A dimension or section length as a `u32` field.
+    /// A `usize` — a dimension, count or section length — as a `u32`
+    /// field; fails, naming `what` and writing nothing, when `v` does not
+    /// fit.
     pub fn len(&mut self, v: usize, what: &str) -> Result<(), UniVsaError> {
         let v = u32::try_from(v).map_err(|_| {
-            UniVsaError::Serialize(format!("{what} = {v} exceeds the u32 section limit"))
+            UniVsaError::Serialize(format!("{what} = {v} does not fit its u32 field"))
         })?;
         self.u32(v);
         Ok(())
     }
 
-    pub fn words(&mut self, words: &[u64]) {
+    /// A byte string behind its `u32` length (fails as [`Writer::len`]).
+    pub fn bytes(&mut self, v: &[u8], what: &str) -> Result<(), UniVsaError> {
+        self.len(v.len(), what)?;
+        self.raw(v);
+        Ok(())
+    }
+
+    /// A UTF-8 string behind its `u32` byte length (fails as
+    /// [`Writer::len`]).
+    pub fn str(&mut self, v: &str, what: &str) -> Result<(), UniVsaError> {
+        self.bytes(v.as_bytes(), what)
+    }
+
+    /// `u64` words, without a length prefix.
+    pub(crate) fn words(&mut self, words: &[u64]) {
         for &w in words {
             self.u64(w);
         }
@@ -109,7 +122,7 @@ impl Writer {
 
     /// Packs `bits` LSB first, `⌈n/8⌉` bytes (the length is written
     /// separately by the caller).
-    pub fn bitmask(&mut self, bits: &[bool]) {
+    pub(crate) fn bitmask(&mut self, bits: &[bool]) {
         let start = self.bytes.len();
         self.bytes.resize(start + bits.len().div_ceil(8), 0);
         for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
@@ -118,13 +131,19 @@ impl Writer {
     }
 }
 
-/// Bounded little-endian payload reader.
-pub(crate) struct Reader<'a> {
+/// Bounded little-endian payload reader. Every method either consumes
+/// exactly the bytes its value occupies or fails with
+/// [`UniVsaError::Serialize`] — when the payload runs out first, or where
+/// noted, when the value is invalid; none panics on any input.
+#[derive(Debug)]
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `bytes`.
+    #[must_use]
     pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
     }
@@ -133,7 +152,8 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.pos
     }
 
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], UniVsaError> {
+    /// The next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], UniVsaError> {
         if n > self.remaining() {
             return Err(UniVsaError::Serialize(format!(
                 "payload truncated at offset {}",
@@ -146,28 +166,44 @@ impl<'a> Reader<'a> {
     }
 
     fn array<const N: usize>(&mut self) -> Result<[u8; N], UniVsaError> {
-        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 
-    pub fn u8(&mut self) -> Result<u8, UniVsaError> {
-        Ok(self.take(1)?[0])
+    /// A byte string written by [`Writer::bytes`].
+    pub fn bytes(&mut self) -> Result<&'a [u8], UniVsaError> {
+        let n = self.u32()? as usize;
+        self.take(n)
     }
 
-    pub fn u32(&mut self) -> Result<u32, UniVsaError> {
-        self.array().map(u32::from_le_bytes)
+    /// A UTF-8 string written by [`Writer::str`]; invalid UTF-8 is an
+    /// error naming `what`.
+    pub fn string(&mut self, what: &str) -> Result<String, UniVsaError> {
+        let raw = self.bytes()?;
+        String::from_utf8(raw.to_vec())
+            .map_err(|_| UniVsaError::Serialize(format!("{what} field is not valid UTF-8")))
     }
 
-    pub fn u64(&mut self) -> Result<u64, UniVsaError> {
-        self.array().map(u64::from_le_bytes)
-    }
-
-    pub fn f32(&mut self) -> Result<f32, UniVsaError> {
-        self.array().map(f32::from_le_bytes)
+    /// A `u32` element count, rejected when even elements of
+    /// `min_element_bytes` each could not fit in the bytes that remain —
+    /// so a corrupted count cannot drive a huge `Vec::with_capacity`.
+    pub fn count(&mut self, min_element_bytes: usize) -> Result<usize, UniVsaError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_element_bytes) > self.remaining() {
+            return Err(UniVsaError::Serialize(format!(
+                "count {n} at offset {} needs at least {} bytes but only {} bytes remain",
+                self.pos - 4,
+                n.saturating_mul(min_element_bytes),
+                self.remaining()
+            )));
+        }
+        Ok(n)
     }
 
     /// `n` words, rejected before allocating when the section would run
     /// past the end of the payload.
-    pub fn words(&mut self, n: usize) -> Result<Vec<u64>, UniVsaError> {
+    pub(crate) fn words(&mut self, n: usize) -> Result<Vec<u64>, UniVsaError> {
         if n.saturating_mul(8) > self.remaining() {
             return Err(UniVsaError::Serialize(format!(
                 "section of {n} words larger than the payload"
@@ -177,7 +213,7 @@ impl<'a> Reader<'a> {
     }
 
     /// `n` bits packed LSB first, as written by [`Writer::bitmask`].
-    pub fn bitmask(&mut self, n: usize) -> Result<Vec<bool>, UniVsaError> {
+    pub(crate) fn bitmask(&mut self, n: usize) -> Result<Vec<bool>, UniVsaError> {
         let packed = self.take(n.div_ceil(8))?;
         Ok((0..n).map(|i| packed[i / 8] >> (i % 8) & 1 == 1).collect())
     }
@@ -192,3 +228,29 @@ impl<'a> Reader<'a> {
         }
     }
 }
+
+/// The fixed-width fields, little-endian on both sides (floats as their
+/// exact bit patterns, so NaN payloads survive).
+macro_rules! fixed_width {
+    ($($t:ident),*) => {
+        impl Writer {
+            $(
+                #[doc = concat!("A `", stringify!($t), "` field.")]
+                pub fn $t(&mut self, v: $t) {
+                    self.raw(&v.to_le_bytes());
+                }
+            )*
+        }
+
+        impl Reader<'_> {
+            $(
+                #[doc = concat!("A `", stringify!($t), "` field.")]
+                pub fn $t(&mut self) -> Result<$t, UniVsaError> {
+                    self.array().map(<$t>::from_le_bytes)
+                }
+            )*
+        }
+    };
+}
+
+fixed_width!(u8, u32, u64, i64, u128, f32, f64);

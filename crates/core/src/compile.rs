@@ -750,8 +750,9 @@ pub fn save_packed(packed: &PackedModel) -> Result<Vec<u8>, UniVsaError> {
     for &t in &packed.conv_thresholds {
         w.u32(t);
     }
-    let mut out = PACKED.frame(&w.bytes)?;
-    out.extend_from_slice(&crc32(&w.bytes).to_le_bytes());
+    let payload = w.into_bytes();
+    let mut out = PACKED.frame(&payload)?;
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
     Ok(out)
 }
 
@@ -775,8 +776,7 @@ pub fn is_packed_artifact(bytes: &[u8]) -> bool {
 /// and [`UniVsaError::Integrity`] when the payload fails its checksum.
 pub fn load_packed(bytes: &[u8]) -> Result<PackedModel, UniVsaError> {
     let (payload, trailer) = PACKED.open_frame(bytes, 4)?;
-    let stored = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
-    if crc32(payload) != stored {
+    if crc32(payload) != Reader::new(trailer).u32()? {
         return Err(UniVsaError::Integrity(
             "packed artifact failed its payload checksum".into(),
         ));
@@ -798,12 +798,10 @@ pub fn load_packed(bytes: &[u8]) -> Result<PackedModel, UniVsaError> {
         *slab = r.words(n)?;
     }
     let [high_lut, low_lut, kernel, f_neg, class_planes] = slabs;
-    let n_thresh = r.u32()? as usize;
-    let conv_thresholds: Vec<u32> = r
-        .take(n_thresh.saturating_mul(4))?
-        .chunks_exact(4)
-        .map(|t| u32::from_le_bytes(t.try_into().expect("4 bytes")))
-        .collect();
+    let n_thresh = r.count(4)?;
+    let conv_thresholds = (0..n_thresh)
+        .map(|_| r.u32())
+        .collect::<Result<Vec<u32>, _>>()?;
     r.finish()?;
 
     // every product below is checked: the factors come straight from the

@@ -83,7 +83,7 @@ pub fn save_model(model: &UniVsaModel) -> Result<Vec<u8>, UniVsaError> {
     ] {
         w.u32(crc);
     }
-    MODEL.frame(&w.bytes)
+    MODEL.frame(&w.into_bytes())
 }
 
 fn write_matrix(w: &mut Writer, m: &BitMatrix) -> Result<(), UniVsaError> {

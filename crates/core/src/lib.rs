@@ -53,7 +53,7 @@
 #![warn(missing_docs)]
 
 mod audit;
-mod codec;
+pub mod codec;
 mod compile;
 mod config;
 mod dvp;

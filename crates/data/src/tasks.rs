@@ -124,13 +124,23 @@ fn har_params() -> GeneratorParams {
 /// EEGMMI-like motor-imagery task: 2 classes, `(16, 64)` windows, class
 /// information mostly in cross-feature interactions.
 pub fn eegmmi(seed: u64) -> Task {
-    build(eegmmi_params(), &[240, 240], &[120, 120], seed ^ EEGMMI_SALT)
+    build(
+        eegmmi_params(),
+        &[240, 240],
+        &[120, 120],
+        seed ^ EEGMMI_SALT,
+    )
 }
 
 /// BCI-III-V-like mental-imagery task: 3 classes, `(16, 6)` frequency
 /// features, clean but multi-modal.
 pub fn bci3v(seed: u64) -> Task {
-    build(bci3v_params(), &[160, 160, 160], &[80, 80, 80], seed ^ BCI3V_SALT)
+    build(
+        bci3v_params(),
+        &[160, 160, 160],
+        &[80, 80, 80],
+        seed ^ BCI3V_SALT,
+    )
 }
 
 /// CHB-B-like balanced seizure detection: 2 classes, `(23, 64)`.
@@ -147,7 +157,12 @@ pub fn chb_ib(seed: u64) -> Task {
 /// ISOLET-like spoken-letter task: 26 classes, `(16, 40)`, largely
 /// linearly separable.
 pub fn isolet(seed: u64) -> Task {
-    build(isolet_params(), &vec![40; 26], &vec![15; 26], seed ^ ISOLET_SALT)
+    build(
+        isolet_params(),
+        &vec![40; 26],
+        &vec![15; 26],
+        seed ^ ISOLET_SALT,
+    )
 }
 
 /// HAR-like activity-recognition task: 6 classes, `(16, 36)`, noisy with

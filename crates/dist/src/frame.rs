@@ -18,6 +18,8 @@ use std::io::{Read, Write};
 
 use univsa::UniVsaError;
 
+use crate::proto::{decode_payload, encode_payload};
+
 /// Hard ceiling on a frame payload (16 MiB). A corrupt length prefix
 /// must not trigger a multi-gigabyte allocation.
 pub const MAX_FRAME: usize = 1 << 24;
@@ -43,35 +45,38 @@ pub enum Frame {
 /// [`UniVsaError::Io`] if the underlying write fails (typically a
 /// closed pipe when the peer died).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), UniVsaError> {
-    if payload.len() > MAX_FRAME {
-        return Err(UniVsaError::Ipc(format!(
-            "outgoing frame of {} bytes exceeds the {MAX_FRAME}-byte limit",
-            payload.len()
-        )));
-    }
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&univsa::crc32(payload).to_le_bytes());
-    let io = |e: std::io::Error| UniVsaError::Io(format!("cannot write frame: {e}"));
-    w.write_all(&header).map_err(io)?;
-    w.write_all(payload).map_err(io)?;
-    w.flush().map_err(io)
+    write_frame_with_crc_flip(w, payload, 0)
 }
 
 /// Writes a frame whose checksum deliberately does not match the
 /// payload (one CRC byte flipped). Only the chaos harness calls this —
 /// it exercises the receiver's corruption path end-to-end.
+///
+/// # Errors
+///
+/// As [`write_frame`].
 pub fn write_corrupt_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), UniVsaError> {
+    write_frame_with_crc_flip(w, payload, 0x01)
+}
+
+/// The one frame writer: header with the payload's CRC XOR `crc_flip`,
+/// then the payload.
+fn write_frame_with_crc_flip(
+    w: &mut impl Write,
+    payload: &[u8],
+    crc_flip: u32,
+) -> Result<(), UniVsaError> {
     if payload.len() > MAX_FRAME {
         return Err(UniVsaError::Ipc(format!(
             "outgoing frame of {} bytes exceeds the {MAX_FRAME}-byte limit",
             payload.len()
         )));
     }
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&univsa::crc32(payload).to_le_bytes());
-    header[4] ^= 0x01;
+    let header = encode_payload(|h| {
+        h.len(payload.len(), "frame length")?;
+        h.u32(univsa::crc32(payload) ^ crc_flip);
+        Ok(())
+    })?;
     let io = |e: std::io::Error| UniVsaError::Io(format!("cannot write frame: {e}"));
     w.write_all(&header).map_err(io)?;
     w.write_all(payload).map_err(io)?;
@@ -89,31 +94,27 @@ pub fn write_corrupt_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), Uni
 /// length prefix, or a CRC mismatch; [`UniVsaError::Io`] if the read
 /// itself fails.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, UniVsaError> {
-    let mut header = [0u8; HEADER_LEN];
-    match read_exact_or_eof(r, &mut header)? {
-        ReadOutcome::Eof => return Ok(Frame::Eof),
-        ReadOutcome::Short(got) => {
+    let header = read_up_to(r, HEADER_LEN)?;
+    match header.len() {
+        0 => return Ok(Frame::Eof),
+        HEADER_LEN => {}
+        got => {
             return Err(UniVsaError::Ipc(format!(
                 "truncated frame header: got {got} of {HEADER_LEN} bytes"
             )))
         }
-        ReadOutcome::Full => {}
     }
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4-byte slice")) as usize;
-    let want_crc = u32::from_le_bytes(header[4..].try_into().expect("4-byte slice"));
+    let (len, want_crc) = decode_payload(&header, |h| Ok((h.u32()? as usize, h.u32()?)))?;
     if len > MAX_FRAME {
         return Err(UniVsaError::Ipc(format!(
             "frame length {len} exceeds the {MAX_FRAME}-byte limit"
         )));
     }
-    let mut payload = vec![0u8; len];
-    match read_exact_or_eof(r, &mut payload)? {
-        ReadOutcome::Full => {}
-        ReadOutcome::Eof | ReadOutcome::Short(_) => {
-            return Err(UniVsaError::Ipc(format!(
-                "truncated frame payload: expected {len} bytes"
-            )))
-        }
+    let payload = read_up_to(r, len)?;
+    if payload.len() < len {
+        return Err(UniVsaError::Ipc(format!(
+            "truncated frame payload: expected {len} bytes"
+        )));
     }
     let got_crc = univsa::crc32(&payload);
     if got_crc != want_crc {
@@ -124,32 +125,15 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, UniVsaError> {
     Ok(Frame::Payload(payload))
 }
 
-enum ReadOutcome {
-    /// The buffer was filled completely.
-    Full,
-    /// Zero bytes were available (stream already at EOF).
-    Eof,
-    /// The stream ended partway through the buffer.
-    Short(usize),
-}
-
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<ReadOutcome, UniVsaError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Short(filled)
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(UniVsaError::Io(format!("cannot read frame: {e}"))),
-        }
-    }
-    Ok(ReadOutcome::Full)
+/// Reads until `n` bytes or end of stream, whichever comes first. The
+/// buffer grows with the bytes that actually arrive, so a corrupt length
+/// prefix cannot allocate more than the stream delivers.
+fn read_up_to(r: &mut impl Read, n: usize) -> Result<Vec<u8>, UniVsaError> {
+    let mut buf = Vec::new();
+    r.take(n as u64)
+        .read_to_end(&mut buf)
+        .map_err(|e| UniVsaError::Io(format!("cannot read frame: {e}")))?;
+    Ok(buf)
 }
 
 #[cfg(test)]

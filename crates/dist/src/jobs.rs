@@ -11,12 +11,15 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use univsa::codec::{Reader, Writer};
 use univsa::{
     similarity_margin, PackedModel, TrainOptions, UniVsaConfig, UniVsaError, UniVsaTrainer,
 };
 use univsa_data::DriftSpec;
 use univsa_hw::{HwConfig, Pipeline, Protection, SeuCampaign, SeuOutcome};
 use univsa_search::{AccuracyHardwareObjective, Genome};
+
+use crate::proto::{decode_payload, encode_payload};
 
 /// Job kind for one genome fitness evaluation (see [`FitnessJob`]).
 pub const FITNESS_KIND: &str = "search.fitness";
@@ -108,12 +111,12 @@ pub fn standard_registry() -> JobRegistry {
             }
             cache[&key].clone()
         };
-        Ok(objective.evaluate(&job.genome).to_le_bytes().to_vec())
+        Ok(encode_fitness(objective.evaluate(&job.genome)))
     });
 
     registry.register(PROBE_KIND, |payload| {
         let job = FitnessJob::decode(payload).map_err(|e| e.to_string())?;
-        Ok(probe_fitness(&job).to_le_bytes().to_vec())
+        Ok(encode_fitness(probe_fitness(&job)))
     });
 
     // The paper-configured model is rebuilt from (task, seed, epochs) and
@@ -162,7 +165,9 @@ pub fn standard_registry() -> JobRegistry {
             .ok_or_else(|| format!("unknown task \"{}\"", job.task))?;
         let mut rows = Vec::with_capacity(job.len);
         for sample in &stream[job.start..job.start + job.len] {
-            let detail = packed.infer_detailed(&sample.values).map_err(|e| e.to_string())?;
+            let detail = packed
+                .infer_detailed(&sample.values)
+                .map_err(|e| e.to_string())?;
             rows.push((
                 sample.label as u32,
                 detail.label as u32,
@@ -202,14 +207,19 @@ pub struct FitnessJob {
 
 impl FitnessJob {
     /// Serializes the job into a payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_str(&mut out, &self.task);
-        out.extend_from_slice(&self.data_seed.to_le_bytes());
-        out.extend_from_slice(&self.train_seed.to_le_bytes());
-        out.extend_from_slice(&(self.epochs as u32).to_le_bytes());
-        put_genome(&mut out, &self.genome);
-        out
+    ///
+    /// # Errors
+    ///
+    /// [`UniVsaError::Ipc`] naming the field when a `usize` field does
+    /// not fit its `u32` slot.
+    pub fn encode(&self) -> Result<Vec<u8>, UniVsaError> {
+        encode_payload(|w| {
+            w.str(&self.task, "task name")?;
+            w.u64(self.data_seed);
+            w.u64(self.train_seed);
+            w.len(self.epochs, "epochs")?;
+            write_genome(w, &self.genome)
+        })
     }
 
     /// Inverse of [`FitnessJob::encode`].
@@ -218,16 +228,15 @@ impl FitnessJob {
     ///
     /// [`UniVsaError::Ipc`] on truncated or malformed payloads.
     pub fn decode(bytes: &[u8]) -> Result<Self, UniVsaError> {
-        let mut r = Cursor::new(bytes);
-        let job = Self {
-            task: r.string("task name")?,
-            data_seed: r.u64()?,
-            train_seed: r.u64()?,
-            epochs: r.u32()? as usize,
-            genome: r.genome()?,
-        };
-        r.finish()?;
-        Ok(job)
+        decode_payload(bytes, |r| {
+            Ok(Self {
+                task: r.string("task name")?,
+                data_seed: r.u64()?,
+                train_seed: r.u64()?,
+                epochs: r.u32()? as usize,
+                genome: read_genome(r)?,
+            })
+        })
     }
 }
 
@@ -256,23 +265,28 @@ pub struct QualityJob {
 
 impl QualityJob {
     /// Serializes the job into a payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_str(&mut out, &self.task);
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&(self.epochs as u32).to_le_bytes());
-        out.extend_from_slice(&(self.total as u32).to_le_bytes());
-        match self.drift {
-            Some(d) => {
-                out.push(1);
-                out.extend_from_slice(&(d.at as u32).to_le_bytes());
-                out.extend_from_slice(&d.strength.to_le_bytes());
+    ///
+    /// # Errors
+    ///
+    /// [`UniVsaError::Ipc`] naming the field when a `usize` field does
+    /// not fit its `u32` slot.
+    pub fn encode(&self) -> Result<Vec<u8>, UniVsaError> {
+        encode_payload(|w| {
+            w.str(&self.task, "task name")?;
+            w.u64(self.seed);
+            w.len(self.epochs, "epochs")?;
+            w.len(self.total, "total")?;
+            match self.drift {
+                Some(d) => {
+                    w.u8(1);
+                    w.len(d.at, "drift.at")?;
+                    w.f32(d.strength);
+                }
+                None => w.u8(0),
             }
-            None => out.push(0),
-        }
-        out.extend_from_slice(&(self.start as u32).to_le_bytes());
-        out.extend_from_slice(&(self.len as u32).to_le_bytes());
-        out
+            w.len(self.start, "start")?;
+            w.len(self.len, "len")
+        })
     }
 
     /// Inverse of [`QualityJob::encode`].
@@ -281,32 +295,26 @@ impl QualityJob {
     ///
     /// [`UniVsaError::Ipc`] on truncated or malformed payloads.
     pub fn decode(bytes: &[u8]) -> Result<Self, UniVsaError> {
-        let mut r = Cursor::new(bytes);
-        let task = r.string("task name")?;
-        let seed = r.u64()?;
-        let epochs = r.u32()? as usize;
-        let total = r.u32()? as usize;
-        let drift = match r.u8()? {
-            0 => None,
-            1 => Some(DriftSpec {
-                at: r.u32()? as usize,
-                strength: f32::from_le_bytes(r.array()?),
-            }),
-            flag => {
-                return Err(UniVsaError::Ipc(format!("invalid drift flag {flag}")));
-            }
-        };
-        let job = Self {
-            task,
-            seed,
-            epochs,
-            total,
-            drift,
-            start: r.u32()? as usize,
-            len: r.u32()? as usize,
-        };
-        r.finish()?;
-        Ok(job)
+        decode_payload(bytes, |r| {
+            Ok(Self {
+                task: r.string("task name")?,
+                seed: r.u64()?,
+                epochs: r.u32()? as usize,
+                total: r.u32()? as usize,
+                drift: match r.u8()? {
+                    0 => None,
+                    1 => Some(DriftSpec {
+                        at: r.u32()? as usize,
+                        strength: r.f32()?,
+                    }),
+                    flag => {
+                        return Err(UniVsaError::Ipc(format!("invalid drift flag {flag}")));
+                    }
+                },
+                start: r.u32()? as usize,
+                len: r.u32()? as usize,
+            })
+        })
     }
 }
 
@@ -314,13 +322,13 @@ impl QualityJob {
 /// `(truth, predicted, margin)` triple as fixed-width little-endian
 /// `(u32, u32, u64)`.
 pub fn encode_quality_results(rows: &[(u32, u32, u64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(rows.len() * 16);
-    for (truth, predicted, margin) in rows {
-        out.extend_from_slice(&truth.to_le_bytes());
-        out.extend_from_slice(&predicted.to_le_bytes());
-        out.extend_from_slice(&margin.to_le_bytes());
+    let mut w = Writer::default();
+    for &(truth, predicted, margin) in rows {
+        w.u32(truth);
+        w.u32(predicted);
+        w.u64(margin);
     }
-    out
+    w.into_bytes()
 }
 
 /// Inverse of [`encode_quality_results`].
@@ -330,18 +338,11 @@ pub fn encode_quality_results(rows: &[(u32, u32, u64)]) -> Vec<u8> {
 /// [`UniVsaError::Ipc`] unless the payload is a whole number of 16-byte
 /// rows.
 pub fn decode_quality_results(bytes: &[u8]) -> Result<Vec<(u32, u32, u64)>, UniVsaError> {
-    if bytes.len() % 16 != 0 {
-        return Err(UniVsaError::Ipc(format!(
-            "quality result has {} bytes, expected a multiple of 16",
-            bytes.len()
-        )));
-    }
-    let mut r = Cursor::new(bytes);
-    let mut rows = Vec::with_capacity(bytes.len() / 16);
-    for _ in 0..bytes.len() / 16 {
-        rows.push((r.u32()?, r.u32()?, r.u64()?));
-    }
-    Ok(rows)
+    decode_payload(bytes, |r| {
+        (0..bytes.len() / 16)
+            .map(|_| Ok((r.u32()?, r.u32()?, r.u64()?)))
+            .collect()
+    })
 }
 
 /// One trial of a seeded SEU campaign over a configuration's pipeline.
@@ -363,23 +364,24 @@ pub struct SeuTrialJob {
 
 impl SeuTrialJob {
     /// Serializes the job into a payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_str(&mut out, &self.spec.name);
-        for dim in [
-            self.spec.width,
-            self.spec.length,
-            self.spec.classes,
-            self.spec.levels,
-        ] {
-            out.extend_from_slice(&(dim as u32).to_le_bytes());
-        }
-        put_genome(&mut out, &self.genome);
-        out.push(self.protection.tag());
-        out.extend_from_slice(&self.rate.to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&(self.samples as u32).to_le_bytes());
-        out
+    ///
+    /// # Errors
+    ///
+    /// [`UniVsaError::Ipc`] naming the field when a `usize` field does
+    /// not fit its `u32` slot.
+    pub fn encode(&self) -> Result<Vec<u8>, UniVsaError> {
+        encode_payload(|w| {
+            w.str(&self.spec.name, "task name")?;
+            w.len(self.spec.width, "spec.width")?;
+            w.len(self.spec.length, "spec.length")?;
+            w.len(self.spec.classes, "spec.classes")?;
+            w.len(self.spec.levels, "spec.levels")?;
+            write_genome(w, &self.genome)?;
+            w.u8(self.protection.tag());
+            w.f64(self.rate);
+            w.u64(self.seed);
+            w.len(self.samples, "samples")
+        })
     }
 
     /// Inverse of [`SeuTrialJob::encode`].
@@ -388,29 +390,22 @@ impl SeuTrialJob {
     ///
     /// [`UniVsaError::Ipc`] on truncated or malformed payloads.
     pub fn decode(bytes: &[u8]) -> Result<Self, UniVsaError> {
-        let mut r = Cursor::new(bytes);
-        let name = r.string("task name")?;
-        let spec = univsa_data::TaskSpec {
-            name,
-            width: r.u32()? as usize,
-            length: r.u32()? as usize,
-            classes: r.u32()? as usize,
-            levels: r.u32()? as usize,
-        };
-        let genome = r.genome()?;
-        let tag = r.u8()?;
-        let protection = Protection::from_tag(tag)
-            .ok_or_else(|| UniVsaError::Ipc(format!("unknown protection tag {tag}")))?;
-        let job = Self {
-            spec,
-            genome,
-            protection,
-            rate: f64::from_le_bytes(r.array()?),
-            seed: r.u64()?,
-            samples: r.u32()? as usize,
-        };
-        r.finish()?;
-        Ok(job)
+        decode_payload(bytes, |r| {
+            Ok(Self {
+                spec: univsa_data::TaskSpec {
+                    name: r.string("task name")?,
+                    width: r.u32()? as usize,
+                    length: r.u32()? as usize,
+                    classes: r.u32()? as usize,
+                    levels: r.u32()? as usize,
+                },
+                genome: read_genome(r)?,
+                protection: read_protection(r)?,
+                rate: r.f64()?,
+                seed: r.u64()?,
+                samples: r.u32()? as usize,
+            })
+        })
     }
 }
 
@@ -441,25 +436,28 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Decodes a [`FITNESS_KIND`] result payload (little-endian `f64` bits,
-/// so NaN payloads and `−∞` survive the round trip exactly).
+/// Serializes a [`FITNESS_KIND`] or [`PROBE_KIND`] result: the score's
+/// little-endian `f64` bits, so NaN payloads and `−∞` survive the round
+/// trip exactly.
+pub fn encode_fitness(score: f64) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.f64(score);
+    w.into_bytes()
+}
+
+/// Inverse of [`encode_fitness`].
 ///
 /// # Errors
 ///
 /// [`UniVsaError::Ipc`] unless the payload is exactly 8 bytes.
 pub fn decode_fitness(bytes: &[u8]) -> Result<f64, UniVsaError> {
-    let arr: [u8; 8] = bytes.try_into().map_err(|_| {
-        UniVsaError::Ipc(format!(
-            "fitness result has {} bytes, expected 8",
-            bytes.len()
-        ))
-    })?;
-    Ok(f64::from_le_bytes(arr))
+    decode_payload(bytes, Reader::f64)
 }
 
 /// Serializes a [`SeuOutcome`] as a [`SEU_TRIAL_KIND`] result payload.
 pub fn encode_seu_outcome(outcome: &SeuOutcome) -> Vec<u8> {
-    let mut out = vec![outcome.protection.tag()];
+    let mut w = Writer::default();
+    w.u8(outcome.protection.tag());
     for v in [
         outcome.cycles,
         outcome.stored_bits,
@@ -468,9 +466,9 @@ pub fn encode_seu_outcome(outcome: &SeuOutcome) -> Vec<u8> {
         outcome.corrected,
         outcome.silent,
     ] {
-        out.extend_from_slice(&v.to_le_bytes());
+        w.u64(v);
     }
-    out
+    w.into_bytes()
 }
 
 /// Inverse of [`encode_seu_outcome`].
@@ -479,97 +477,41 @@ pub fn encode_seu_outcome(outcome: &SeuOutcome) -> Vec<u8> {
 ///
 /// [`UniVsaError::Ipc`] on truncated payloads or unknown protection tags.
 pub fn decode_seu_outcome(bytes: &[u8]) -> Result<SeuOutcome, UniVsaError> {
-    let mut r = Cursor::new(bytes);
-    let tag = r.u8()?;
-    let protection = Protection::from_tag(tag)
-        .ok_or_else(|| UniVsaError::Ipc(format!("unknown protection tag {tag}")))?;
-    let outcome = SeuOutcome {
-        protection,
-        cycles: r.u64()?,
-        stored_bits: r.u64()?,
-        upsets: r.u64()?,
-        detected: r.u64()?,
-        corrected: r.u64()?,
-        silent: r.u64()?,
-    };
-    r.finish()?;
-    Ok(outcome)
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_genome(out: &mut Vec<u8>, g: &Genome) {
-    for dim in [g.d_h, g.d_l, g.d_k, g.out_channels, g.voters] {
-        out.extend_from_slice(&(dim as u32).to_le_bytes());
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], UniVsaError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(UniVsaError::Ipc(format!(
-                "job payload truncated: needed {n} bytes at offset {}",
-                self.pos
-            )));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], UniVsaError> {
-        Ok(self.take(N)?.try_into().expect("sized take"))
-    }
-
-    fn u8(&mut self) -> Result<u8, UniVsaError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, UniVsaError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, UniVsaError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, UniVsaError> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| UniVsaError::Ipc(format!("{what} field is not valid UTF-8")))
-    }
-
-    fn genome(&mut self) -> Result<Genome, UniVsaError> {
-        Ok(Genome {
-            d_h: self.u32()? as usize,
-            d_l: self.u32()? as usize,
-            d_k: self.u32()? as usize,
-            out_channels: self.u32()? as usize,
-            voters: self.u32()? as usize,
+    decode_payload(bytes, |r| {
+        Ok(SeuOutcome {
+            protection: read_protection(r)?,
+            cycles: r.u64()?,
+            stored_bits: r.u64()?,
+            upsets: r.u64()?,
+            detected: r.u64()?,
+            corrected: r.u64()?,
+            silent: r.u64()?,
         })
-    }
+    })
+}
 
-    fn finish(&self) -> Result<(), UniVsaError> {
-        if self.pos != self.bytes.len() {
-            return Err(UniVsaError::Ipc(format!(
-                "{} trailing bytes after job payload",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+fn write_genome(w: &mut Writer, g: &Genome) -> Result<(), UniVsaError> {
+    w.len(g.d_h, "genome.d_h")?;
+    w.len(g.d_l, "genome.d_l")?;
+    w.len(g.d_k, "genome.d_k")?;
+    w.len(g.out_channels, "genome.out_channels")?;
+    w.len(g.voters, "genome.voters")
+}
+
+fn read_genome(r: &mut Reader<'_>) -> Result<Genome, UniVsaError> {
+    Ok(Genome {
+        d_h: r.u32()? as usize,
+        d_l: r.u32()? as usize,
+        d_k: r.u32()? as usize,
+        out_channels: r.u32()? as usize,
+        voters: r.u32()? as usize,
+    })
+}
+
+fn read_protection(r: &mut Reader<'_>) -> Result<Protection, UniVsaError> {
+    let tag = r.u8()?;
+    Protection::from_tag(tag)
+        .ok_or_else(|| UniVsaError::Ipc(format!("unknown protection tag {tag}")))
 }
 
 #[cfg(test)]
@@ -595,7 +537,7 @@ mod tests {
             epochs: 3,
             genome: genome(),
         };
-        assert_eq!(FitnessJob::decode(&job.encode()).unwrap(), job);
+        assert_eq!(FitnessJob::decode(&job.encode().unwrap()).unwrap(), job);
     }
 
     #[test]
@@ -615,7 +557,7 @@ mod tests {
                 seed: 11,
                 samples: 32,
             };
-            assert_eq!(SeuTrialJob::decode(&job.encode()).unwrap(), job);
+            assert_eq!(SeuTrialJob::decode(&job.encode().unwrap()).unwrap(), job);
         }
     }
 
@@ -628,7 +570,8 @@ mod tests {
             epochs: 3,
             genome: genome(),
         }
-        .encode();
+        .encode()
+        .unwrap();
         for cut in 0..full.len() {
             assert!(matches!(
                 FitnessJob::decode(&full[..cut]).unwrap_err(),
@@ -643,10 +586,12 @@ mod tests {
     #[test]
     fn fitness_result_preserves_every_f64_bit_pattern() {
         for value in [0.0, -0.75, f64::NEG_INFINITY, f64::MAX, f64::NAN] {
-            let decoded = decode_fitness(&value.to_le_bytes()).unwrap();
-            assert_eq!(decoded.to_bits(), value.to_bits());
+            let bytes = encode_fitness(value);
+            assert_eq!(bytes, value.to_le_bytes());
+            assert_eq!(decode_fitness(&bytes).unwrap().to_bits(), value.to_bits());
         }
         assert!(decode_fitness(&[0; 7]).is_err());
+        assert!(decode_fitness(&[0; 9]).is_err());
     }
 
     #[test]
@@ -696,7 +641,9 @@ mod tests {
             seed: 11,
             samples: 8,
         };
-        let bytes = registry.run(SEU_TRIAL_KIND, &job.encode()).unwrap();
+        let bytes = registry
+            .run(SEU_TRIAL_KIND, &job.encode().unwrap())
+            .unwrap();
         let outcome = decode_seu_outcome(&bytes).unwrap();
         assert_eq!(outcome.protection, Protection::ParityDetect);
         assert_eq!(
@@ -715,13 +662,16 @@ mod tests {
             epochs: 3,
             genome: genome(),
         };
-        let a = registry.run(PROBE_KIND, &job.encode()).unwrap();
-        assert_eq!(a, registry.run(PROBE_KIND, &job.encode()).unwrap());
+        let a = registry.run(PROBE_KIND, &job.encode().unwrap()).unwrap();
+        assert_eq!(a, registry.run(PROBE_KIND, &job.encode().unwrap()).unwrap());
         let score = decode_fitness(&a).unwrap();
         assert!((0.0..1.0).contains(&score));
         let mut other = job.clone();
         other.genome.d_h = 16;
-        assert_ne!(registry.run(PROBE_KIND, &other.encode()).unwrap(), a);
+        assert_ne!(
+            registry.run(PROBE_KIND, &other.encode().unwrap()).unwrap(),
+            a
+        );
     }
 
     #[test]
@@ -743,21 +693,21 @@ mod tests {
             start: 64,
             len: 64,
         };
-        assert_eq!(QualityJob::decode(&job.encode()).unwrap(), job);
+        assert_eq!(QualityJob::decode(&job.encode().unwrap()).unwrap(), job);
         job.drift = Some(DriftSpec {
             at: 128,
             strength: 0.35,
         });
-        assert_eq!(QualityJob::decode(&job.encode()).unwrap(), job);
+        assert_eq!(QualityJob::decode(&job.encode().unwrap()).unwrap(), job);
 
-        let full = job.encode();
+        let full = job.encode().unwrap();
         for cut in 0..full.len() {
             assert!(matches!(
                 QualityJob::decode(&full[..cut]).unwrap_err(),
                 UniVsaError::Ipc(_)
             ));
         }
-        let mut bad_flag = job.encode();
+        let mut bad_flag = job.encode().unwrap();
         let flag_pos = 4 + 5 + 8 + 4 + 4;
         assert_eq!(bad_flag[flag_pos], 1);
         bad_flag[flag_pos] = 9;
@@ -788,7 +738,97 @@ mod tests {
             start: 8,
             len: 9,
         };
-        let err = registry.run(QUALITY_KIND, &job.encode()).unwrap_err();
+        let err = registry
+            .run(QUALITY_KIND, &job.encode().unwrap())
+            .unwrap_err();
         assert!(err.contains("exceeds stream length"), "{err}");
+    }
+
+    /// Encodes `job` after `set` writes `1 << 32` into one `usize` field:
+    /// the encoder must refuse and name the field instead of writing its
+    /// low 32 bits, and `u32::MAX` in the same field must round-trip.
+    fn assert_wide_field_rejected<J: Clone + PartialEq + std::fmt::Debug>(
+        job: &J,
+        field: &str,
+        set: impl Fn(&mut J, usize),
+        encode: impl Fn(&J) -> Result<Vec<u8>, UniVsaError>,
+        decode: impl Fn(&[u8]) -> Result<J, UniVsaError>,
+    ) {
+        let mut wide = job.clone();
+        set(&mut wide, 1 << 32);
+        match encode(&wide) {
+            Err(UniVsaError::Ipc(m)) => assert!(m.contains(field), "{field}: {m}"),
+            other => panic!("{field} = 2^32 encoded as {other:?}"),
+        }
+        let mut max = job.clone();
+        set(&mut max, u32::MAX as usize);
+        assert_eq!(decode(&encode(&max).unwrap()).unwrap(), max, "{field}");
+    }
+
+    #[test]
+    fn fitness_job_refuses_fields_wider_than_u32() {
+        let job = FitnessJob {
+            task: "BCI3V".into(),
+            data_seed: 1,
+            train_seed: 2,
+            epochs: 3,
+            genome: genome(),
+        };
+        let (enc, dec) = (FitnessJob::encode, FitnessJob::decode);
+        assert_wide_field_rejected(&job, "epochs", |j, v| j.epochs = v, enc, dec);
+        assert_wide_field_rejected(
+            &job,
+            "genome.out_channels",
+            |j, v| j.genome.out_channels = v,
+            enc,
+            dec,
+        );
+    }
+
+    #[test]
+    fn quality_job_refuses_fields_wider_than_u32() {
+        let job = QualityJob {
+            task: "BCI3V".into(),
+            seed: 7,
+            epochs: 2,
+            total: 256,
+            drift: Some(DriftSpec {
+                at: 128,
+                strength: 0.35,
+            }),
+            start: 64,
+            len: 64,
+        };
+        let (enc, dec) = (QualityJob::encode, QualityJob::decode);
+        assert_wide_field_rejected(&job, "total", |j, v| j.total = v, enc, dec);
+        assert_wide_field_rejected(
+            &job,
+            "drift.at",
+            |j, v| j.drift.as_mut().unwrap().at = v,
+            enc,
+            dec,
+        );
+        assert_wide_field_rejected(&job, "start", |j, v| j.start = v, enc, dec);
+    }
+
+    #[test]
+    fn seu_trial_job_refuses_fields_wider_than_u32() {
+        let job = SeuTrialJob {
+            spec: univsa_data::TaskSpec {
+                name: "BCI3V".into(),
+                width: 16,
+                length: 6,
+                classes: 3,
+                levels: 256,
+            },
+            genome: genome(),
+            protection: Protection::Tmr,
+            rate: 1e-9,
+            seed: 11,
+            samples: 32,
+        };
+        let (enc, dec) = (SeuTrialJob::encode, SeuTrialJob::decode);
+        assert_wide_field_rejected(&job, "samples", |j, v| j.samples = v, enc, dec);
+        assert_wide_field_rejected(&job, "spec.levels", |j, v| j.spec.levels = v, enc, dec);
     }
 }

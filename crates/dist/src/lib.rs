@@ -32,17 +32,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod forward;
 pub mod frame;
 pub mod jobs;
 pub mod proto;
 pub mod supervisor;
 pub mod worker;
 
+pub use forward::{decode_worker_batch, encode_worker_batch};
 pub use frame::{read_frame, write_corrupt_frame, write_frame, Frame, HEADER_LEN, MAX_FRAME};
 pub use jobs::{
-    decode_fitness, decode_quality_results, decode_seu_outcome, encode_quality_results,
-    encode_seu_outcome, probe_fitness, standard_registry, FitnessJob, JobRegistry, QualityJob,
-    SeuTrialJob, ECHO_KIND, FAIL_KIND, FITNESS_KIND, PROBE_KIND, QUALITY_KIND, SEU_TRIAL_KIND,
+    decode_fitness, decode_quality_results, decode_seu_outcome, encode_fitness,
+    encode_quality_results, encode_seu_outcome, probe_fitness, standard_registry, FitnessJob,
+    JobRegistry, QualityJob, SeuTrialJob, ECHO_KIND, FAIL_KIND, FITNESS_KIND, PROBE_KIND,
+    QUALITY_KIND, SEU_TRIAL_KIND,
 };
 pub use proto::Message;
 pub use supervisor::{

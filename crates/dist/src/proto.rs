@@ -2,11 +2,15 @@
 //!
 //! Each message is encoded into one [frame](crate::frame) payload: a
 //! single tag byte followed by fixed-width little-endian fields and
-//! length-prefixed byte strings. Decoding is total — every malformed
-//! input maps to [`UniVsaError::Ipc`], never a panic — because worker
-//! stdout is an untrusted channel once the chaos harness starts
-//! flipping bytes on it.
+//! `u32`-length-prefixed byte strings. Every IPC format of the fleet —
+//! these messages, frame headers, job payloads and results, worker
+//! telemetry batches — is written and read with the shared
+//! [`univsa::codec`], through `encode_payload` and `decode_payload`.
+//! Decoding is total — every malformed input maps to
+//! [`UniVsaError::Ipc`], never a panic — because worker stdout is an
+//! untrusted channel once the chaos harness starts flipping bytes on it.
 
+use univsa::codec::{Reader, Writer};
 use univsa::UniVsaError;
 
 /// One IPC message.
@@ -59,10 +63,10 @@ pub enum Message {
     Shutdown,
     /// A worker-side telemetry batch (worker → supervisor), flushed
     /// ahead of each task reply and before shutdown. The payload is a
-    /// [`univsa_telemetry::WorkerBatch`] encoding, kept opaque here so
-    /// the message codec stays independent of the batch codec — a batch
-    /// that fails *its* decode is dropped and counted by the supervisor,
-    /// never an IPC error.
+    /// [`univsa_telemetry::WorkerBatch`] encoded by
+    /// [`encode_worker_batch`](crate::encode_worker_batch), kept opaque
+    /// here so a batch that fails *its* decode is dropped and counted by
+    /// the supervisor, never an IPC error.
     Telemetry {
         /// The sending worker's fleet slot.
         slot: u32,
@@ -81,48 +85,54 @@ const TAG_TELEMETRY: u8 = 7;
 
 impl Message {
     /// Serializes the message into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Message::Ping { nonce } => {
-                out.push(TAG_PING);
-                out.extend_from_slice(&nonce.to_le_bytes());
+    ///
+    /// # Errors
+    ///
+    /// [`UniVsaError::Ipc`] if a string or byte field is longer than its
+    /// `u32` length prefix can express.
+    pub fn encode(&self) -> Result<Vec<u8>, UniVsaError> {
+        encode_payload(|w| {
+            match self {
+                Message::Ping { nonce } => {
+                    w.u8(TAG_PING);
+                    w.u64(*nonce);
+                }
+                Message::Pong { nonce, clock_ns } => {
+                    w.u8(TAG_PONG);
+                    w.u64(*nonce);
+                    w.u64(*clock_ns);
+                }
+                Message::Task {
+                    id,
+                    attempt,
+                    kind,
+                    payload,
+                } => {
+                    w.u8(TAG_TASK);
+                    w.u64(*id);
+                    w.u32(*attempt);
+                    w.str(kind, "task kind")?;
+                    w.bytes(payload, "task payload")?;
+                }
+                Message::TaskOk { id, payload } => {
+                    w.u8(TAG_TASK_OK);
+                    w.u64(*id);
+                    w.bytes(payload, "result payload")?;
+                }
+                Message::TaskErr { id, message } => {
+                    w.u8(TAG_TASK_ERR);
+                    w.u64(*id);
+                    w.str(message, "error message")?;
+                }
+                Message::Shutdown => w.u8(TAG_SHUTDOWN),
+                Message::Telemetry { slot, batch } => {
+                    w.u8(TAG_TELEMETRY);
+                    w.u32(*slot);
+                    w.bytes(batch, "telemetry batch")?;
+                }
             }
-            Message::Pong { nonce, clock_ns } => {
-                out.push(TAG_PONG);
-                out.extend_from_slice(&nonce.to_le_bytes());
-                out.extend_from_slice(&clock_ns.to_le_bytes());
-            }
-            Message::Task {
-                id,
-                attempt,
-                kind,
-                payload,
-            } => {
-                out.push(TAG_TASK);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&attempt.to_le_bytes());
-                put_bytes(&mut out, kind.as_bytes());
-                put_bytes(&mut out, payload);
-            }
-            Message::TaskOk { id, payload } => {
-                out.push(TAG_TASK_OK);
-                out.extend_from_slice(&id.to_le_bytes());
-                put_bytes(&mut out, payload);
-            }
-            Message::TaskErr { id, message } => {
-                out.push(TAG_TASK_ERR);
-                out.extend_from_slice(&id.to_le_bytes());
-                put_bytes(&mut out, message.as_bytes());
-            }
-            Message::Shutdown => out.push(TAG_SHUTDOWN),
-            Message::Telemetry { slot, batch } => {
-                out.push(TAG_TELEMETRY);
-                out.extend_from_slice(&slot.to_le_bytes());
-                put_bytes(&mut out, batch);
-            }
-        }
-        out
+            Ok(())
+        })
     }
 
     /// Deserializes a frame payload.
@@ -132,103 +142,69 @@ impl Message {
     /// [`UniVsaError::Ipc`] on an empty payload, unknown tag, truncated
     /// field, invalid UTF-8 in a string field, or trailing garbage.
     pub fn decode(bytes: &[u8]) -> Result<Message, UniVsaError> {
-        let mut r = Reader { bytes, pos: 0 };
-        let tag = r.u8()?;
-        let message = match tag {
-            TAG_PING => Message::Ping { nonce: r.u64()? },
-            TAG_PONG => Message::Pong {
-                nonce: r.u64()?,
-                clock_ns: r.u64()?,
-            },
-            TAG_TASK => {
-                let id = r.u64()?;
-                let attempt = r.u32()?;
-                let kind = r.string("task kind")?;
-                let payload = r.bytes_field()?;
-                Message::Task {
-                    id,
-                    attempt,
-                    kind,
-                    payload,
+        decode_payload(bytes, |r| {
+            Ok(match r.u8()? {
+                TAG_PING => Message::Ping { nonce: r.u64()? },
+                TAG_PONG => Message::Pong {
+                    nonce: r.u64()?,
+                    clock_ns: r.u64()?,
+                },
+                TAG_TASK => Message::Task {
+                    id: r.u64()?,
+                    attempt: r.u32()?,
+                    kind: r.string("task kind")?,
+                    payload: r.bytes()?.to_vec(),
+                },
+                TAG_TASK_OK => Message::TaskOk {
+                    id: r.u64()?,
+                    payload: r.bytes()?.to_vec(),
+                },
+                TAG_TASK_ERR => Message::TaskErr {
+                    id: r.u64()?,
+                    message: r.string("error message")?,
+                },
+                TAG_SHUTDOWN => Message::Shutdown,
+                TAG_TELEMETRY => Message::Telemetry {
+                    slot: r.u32()?,
+                    batch: r.bytes()?.to_vec(),
+                },
+                other => {
+                    return Err(UniVsaError::Ipc(format!("unknown message tag {other}")));
                 }
-            }
-            TAG_TASK_OK => Message::TaskOk {
-                id: r.u64()?,
-                payload: r.bytes_field()?,
-            },
-            TAG_TASK_ERR => {
-                let id = r.u64()?;
-                let message = r.string("error message")?;
-                Message::TaskErr { id, message }
-            }
-            TAG_SHUTDOWN => Message::Shutdown,
-            TAG_TELEMETRY => Message::Telemetry {
-                slot: r.u32()?,
-                batch: r.bytes_field()?,
-            },
-            other => {
-                return Err(UniVsaError::Ipc(format!("unknown message tag {other}")));
-            }
-        };
-        if r.pos != r.bytes.len() {
-            return Err(UniVsaError::Ipc(format!(
-                "{} trailing bytes after message",
-                r.bytes.len() - r.pos
-            )));
-        }
-        Ok(message)
+            })
+        })
     }
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
+/// Runs `write` against a fresh [`Writer`] and returns its bytes. The
+/// codec's errors (a `usize` too large for its `u32` field) come back as
+/// [`UniVsaError::Ipc`], like every other IPC failure.
+pub(crate) fn encode_payload(
+    write: impl FnOnce(&mut Writer) -> Result<(), UniVsaError>,
+) -> Result<Vec<u8>, UniVsaError> {
+    let mut w = Writer::default();
+    write(&mut w).map_err(ipc)?;
+    Ok(w.into_bytes())
 }
 
-struct Reader<'a> {
+/// Runs `read` over `bytes`, requires it to consume every byte, and
+/// reports the codec's errors as [`UniVsaError::Ipc`] — the one place an
+/// IPC decoder translates them.
+pub(crate) fn decode_payload<'a, T>(
     bytes: &'a [u8],
-    pos: usize,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, UniVsaError>,
+) -> Result<T, UniVsaError> {
+    let mut r = Reader::new(bytes);
+    read(&mut r)
+        .and_then(|value| r.finish().map(|()| value))
+        .map_err(ipc)
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], UniVsaError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(UniVsaError::Ipc(format!(
-                "message truncated: needed {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            )));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, UniVsaError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, UniVsaError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, UniVsaError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn bytes_field(&mut self) -> Result<Vec<u8>, UniVsaError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, UniVsaError> {
-        let raw = self.bytes_field()?;
-        String::from_utf8(raw)
-            .map_err(|_| UniVsaError::Ipc(format!("{what} field is not valid UTF-8")))
+/// Reports a codec error as an IPC error; other kinds pass through.
+fn ipc(e: UniVsaError) -> UniVsaError {
+    match e {
+        UniVsaError::Serialize(m) => UniVsaError::Ipc(m),
+        other => other,
     }
 }
 
@@ -278,7 +254,7 @@ mod tests {
     #[test]
     fn messages_round_trip() {
         for m in examples() {
-            assert_eq!(Message::decode(&m.encode()).unwrap(), m, "{m:?}");
+            assert_eq!(Message::decode(&m.encode().unwrap()).unwrap(), m, "{m:?}");
         }
     }
 
@@ -295,7 +271,7 @@ mod tests {
     #[test]
     fn every_truncation_is_a_typed_error() {
         for m in examples() {
-            let full = m.encode();
+            let full = m.encode().unwrap();
             for cut in 0..full.len() {
                 match Message::decode(&full[..cut]) {
                     Err(UniVsaError::Ipc(_)) => {}
@@ -307,7 +283,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = Message::Shutdown.encode();
+        let mut bytes = Message::Shutdown.encode().unwrap();
         bytes.push(0);
         let err = Message::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("trailing"));

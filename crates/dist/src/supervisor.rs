@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 
 use univsa::{ChaosSpec, UniVsaError, CHAOS_ENV_VAR};
 
+use crate::forward::decode_worker_batch;
 use crate::frame::{read_frame, write_frame, Frame};
 use crate::proto::Message;
 use crate::worker::{GEN_ENV_VAR, SLOT_ENV_VAR, TELEMETRY_ENV_VAR, WORKER_ENV_VAR};
@@ -513,7 +514,11 @@ impl FleetState<'_> {
             kind: job.kind.clone(),
             payload: job.payload.clone(),
         };
-        if write_frame(&mut handle.stdin, &message.encode()).is_err() {
+        if message
+            .encode()
+            .and_then(|bytes| write_frame(&mut handle.stdin, &bytes))
+            .is_err()
+        {
             // Relaxed (here and below): monotonic statistics, see run_jobs
             self.counters.crashes.fetch_add(1, Ordering::Relaxed);
             univsa_telemetry::counter("dist.crashes", 1);
@@ -570,7 +575,7 @@ impl FleetState<'_> {
         clock_offset_ns: i64,
         parent: Option<u64>,
     ) {
-        match univsa_telemetry::WorkerBatch::decode(batch_bytes) {
+        match decode_worker_batch(batch_bytes) {
             Ok(batch) => {
                 univsa_telemetry::absorb_worker_batch(slot as u32, &batch, clock_offset_ns, parent);
             }
@@ -598,7 +603,9 @@ impl FleetState<'_> {
             reader,
             clock_offset_ns,
         } = handle;
-        let _ = write_frame(&mut stdin, &Message::Shutdown.encode());
+        let _ = Message::Shutdown
+            .encode()
+            .and_then(|bytes| write_frame(&mut stdin, &bytes));
         drop(stdin);
         // drain until the worker closes its pipe (bounded by the reaper
         // below): the shutdown-flush telemetry batch arrives here
@@ -694,7 +701,10 @@ impl FleetState<'_> {
         // so offset = our midpoint − worker clock (add it to a worker
         // timestamp to land on the supervisor timeline)
         let t0 = univsa_telemetry::clock_ns();
-        let handshake = write_frame(&mut handle.stdin, &Message::Ping { nonce }.encode()).is_ok()
+        let handshake = Message::Ping { nonce }
+            .encode()
+            .and_then(|bytes| write_frame(&mut handle.stdin, &bytes))
+            .is_ok()
             && match handle.replies.recv_timeout(self.options.spawn_deadline) {
                 Ok(Ok(Message::Pong {
                     nonce: echoed,

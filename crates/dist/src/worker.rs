@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 use univsa::{ChaosSpec, UniVsaError};
 use univsa_telemetry::{MemStats, DEFAULT_TRACE_CAPACITY};
 
+use crate::forward::encode_worker_batch;
 use crate::frame::{read_frame, write_corrupt_frame, write_frame, Frame};
 use crate::proto::Message;
 use crate::JobRegistry;
@@ -123,7 +124,7 @@ pub fn serve_worker(
                     nonce,
                     clock_ns: univsa_telemetry::clock_ns(),
                 };
-                write_frame(output, &pong.encode())?;
+                write_frame(output, &pong.encode()?)?;
             }
             Message::Shutdown => {
                 // last chance to ship whatever accumulated since the
@@ -183,9 +184,9 @@ pub fn serve_worker(
                     )?;
                 }
                 if chaos.corrupt_result(id, u64::from(attempt)) {
-                    write_corrupt_frame(output, &reply.encode())?;
+                    write_corrupt_frame(output, &reply.encode()?)?;
                 } else {
-                    write_frame(output, &reply.encode())?;
+                    write_frame(output, &reply.encode()?)?;
                 }
             }
             unexpected @ (Message::Pong { .. }
@@ -229,7 +230,7 @@ impl TelemetryFlusher {
         if batch.is_empty() {
             return Ok(());
         }
-        let mut bytes = batch.encode();
+        let mut bytes = encode_worker_batch(&batch)?;
         if scramble {
             // chaos: break the batch codec (the version byte), not the
             // frame CRC — the supervisor must drop and count this batch
@@ -237,7 +238,7 @@ impl TelemetryFlusher {
             bytes[0] ^= 0xFF;
         }
         let message = Message::Telemetry { slot, batch: bytes };
-        write_frame(output, &message.encode())
+        write_frame(output, &message.encode()?)
     }
 }
 
@@ -257,7 +258,7 @@ mod tests {
     fn frames(messages: &[Message]) -> Vec<u8> {
         let mut buf = Vec::new();
         for m in messages {
-            write_frame(&mut buf, &m.encode()).unwrap();
+            write_frame(&mut buf, &m.encode().unwrap()).unwrap();
         }
         buf
     }
@@ -338,7 +339,7 @@ mod tests {
     fn corrupt_inbound_frame_is_a_typed_error() {
         let registry = standard_registry();
         let mut input = Vec::new();
-        write_corrupt_frame(&mut input, &Message::Shutdown.encode()).unwrap();
+        write_corrupt_frame(&mut input, &Message::Shutdown.encode().unwrap()).unwrap();
         let err = serve(
             &mut Cursor::new(input),
             &mut Vec::new(),
@@ -405,7 +406,7 @@ mod tests {
             .collect();
         assert!(!batches.is_empty(), "{replies:?}");
         // the scramble breaks the batch codec, not the message codec
-        assert!(univsa_telemetry::WorkerBatch::decode(batches[0]).is_err());
+        assert!(crate::decode_worker_batch(batches[0]).is_err());
         // and the task reply itself is untouched
         assert!(replies
             .iter()

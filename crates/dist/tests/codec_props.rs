@@ -9,8 +9,8 @@ use std::io::Cursor;
 use proptest::prelude::*;
 use univsa::UniVsaError;
 use univsa_dist::{
-    read_frame, write_corrupt_frame, write_frame, FitnessJob, Frame, Message, SeuTrialJob,
-    HEADER_LEN,
+    decode_worker_batch, encode_worker_batch, read_frame, write_corrupt_frame, write_frame,
+    FitnessJob, Frame, Message, SeuTrialJob, HEADER_LEN,
 };
 use univsa_search::Genome;
 use univsa_telemetry::{QualityStats, WorkerBatch, WorkerSpan};
@@ -97,18 +97,18 @@ proptest! {
             kind: "search.fitness".into(),
             payload,
         };
-        prop_assert_eq!(Message::decode(&message.encode()).unwrap(), message);
+        prop_assert_eq!(Message::decode(&message.encode().unwrap()).unwrap(), message);
     }
 
     #[test]
     fn result_messages_round_trip(id in any::<u64>(), payload in arb_payload()) {
         let ok = Message::TaskOk { id, payload };
-        prop_assert_eq!(Message::decode(&ok.encode()).unwrap(), ok);
+        prop_assert_eq!(Message::decode(&ok.encode().unwrap()).unwrap(), ok);
         let err = Message::TaskErr {
             id,
             message: format!("task {id} exploded"),
         };
-        prop_assert_eq!(Message::decode(&err.encode()).unwrap(), err);
+        prop_assert_eq!(Message::decode(&err.encode().unwrap()).unwrap(), err);
     }
 
     #[test]
@@ -120,7 +120,7 @@ proptest! {
     #[test]
     fn telemetry_messages_round_trip(slot in any::<u32>(), batch in arb_payload()) {
         let message = Message::Telemetry { slot, batch };
-        prop_assert_eq!(Message::decode(&message.encode()).unwrap(), message);
+        prop_assert_eq!(Message::decode(&message.encode().unwrap()).unwrap(), message);
     }
 
     #[test]
@@ -129,7 +129,7 @@ proptest! {
         batch in (1usize..300).prop_flat_map(|n| proptest::collection::vec(any::<u8>(), n)),
         cut in any::<u64>(),
     ) {
-        let full = Message::Telemetry { slot, batch }.encode();
+        let full = Message::Telemetry { slot, batch }.encode().unwrap();
         let cut = (cut % full.len() as u64) as usize;
         match Message::decode(&full[..cut]) {
             Err(UniVsaError::Ipc(_)) => {}
@@ -158,8 +158,10 @@ proptest! {
             0usize..8,
         ),
     ) {
-        let mut quality = QualityStats::default();
-        quality.task = task;
+        let mut quality = QualityStats {
+            task,
+            ..QualityStats::default()
+        };
         for (class, margin) in predictions {
             quality.record_prediction(class as u32, margin as u64);
         }
@@ -190,14 +192,14 @@ proptest! {
                 .collect(),
             quality,
         };
-        prop_assert_eq!(WorkerBatch::decode(&batch.encode()).unwrap(), batch);
+        prop_assert_eq!(decode_worker_batch(&encode_worker_batch(&batch).unwrap()).unwrap(), batch);
     }
 
     #[test]
     fn worker_batch_decode_never_panics_on_garbage(bytes in arb_payload()) {
         // the supervisor feeds untrusted worker bytes straight into this
         // decoder; every outcome must be a value, never a panic
-        let _ = WorkerBatch::decode(&bytes);
+        let _ = decode_worker_batch(&bytes);
     }
 
     #[test]
@@ -214,7 +216,7 @@ proptest! {
             epochs,
             genome,
         };
-        prop_assert_eq!(FitnessJob::decode(&job.encode()).unwrap(), job);
+        prop_assert_eq!(FitnessJob::decode(&job.encode().unwrap()).unwrap(), job);
     }
 
     #[test]
@@ -238,6 +240,6 @@ proptest! {
             seed,
             samples,
         };
-        prop_assert_eq!(SeuTrialJob::decode(&job.encode()).unwrap(), job);
+        prop_assert_eq!(SeuTrialJob::decode(&job.encode().unwrap()).unwrap(), job);
     }
 }

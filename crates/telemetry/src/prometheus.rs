@@ -393,7 +393,10 @@ mod tests {
         assert_eq!(buckets.last().unwrap().label("le"), Some("+Inf"));
         assert_eq!(buckets.last().unwrap().value, 3.0);
         // both 7s land cumulatively at the le="10" bound
-        let ten = buckets.iter().find(|s| s.label("le") == Some("10")).unwrap();
+        let ten = buckets
+            .iter()
+            .find(|s| s.label("le") == Some("10"))
+            .unwrap();
         assert_eq!(ten.value, 2.0);
         let sum = samples
             .iter()

@@ -8,10 +8,11 @@
 //! with the same discipline as the latency histograms: fixed compile-time
 //! bucket layouts so merging is index-wise addition, exact integer
 //! side-stats, `BTreeMap` keying so every rendering is deterministic, and
-//! no dependencies. Sketches recorded on fleet workers ride the
-//! [`crate::WorkerBatch`] codec and merge supervisor-side exactly like
-//! counters; the merged result is what `/snapshot.json` and `/metrics`
-//! serve.
+//! no dependencies. Sketches recorded on fleet workers travel inside a
+//! [`crate::WorkerBatch`] (its byte codec lives in `univsa-dist`, which
+//! rebuilds them through the validating `from_parts` constructors) and
+//! merge supervisor-side exactly like counters; the merged result is
+//! what `/snapshot.json` and `/metrics` serve.
 //!
 //! The [`DriftDetector`] is deliberately *not* part of the global
 //! registry: divergence between a reference window and the current window
@@ -65,6 +66,37 @@ impl MarginSketch {
             min: u64::MAX,
             max: 0,
         }
+    }
+
+    /// Rebuilds a sketch from its raw parts, as a forwarded worker batch
+    /// carries them (an empty sketch has min `u64::MAX`, max and sum 0).
+    /// Parts no recorder could produce are an error: bucket counts that
+    /// do not sum to `count`, or an empty sketch without its sentinels.
+    pub fn from_parts(
+        counts: [u64; MARGIN_BUCKETS],
+        count: u64,
+        sum: u128,
+        min: u64,
+        max: u64,
+    ) -> Result<Self, String> {
+        let bucketed: u128 = counts.iter().map(|&c| u128::from(c)).sum();
+        if bucketed != u128::from(count) {
+            return Err(format!(
+                "margin buckets hold {bucketed} observations but the sketch counts {count}"
+            ));
+        }
+        if count == 0 && (sum, min, max) != (0, u64::MAX, 0) {
+            return Err(format!(
+                "empty margin sketch carries sum {sum}, min {min}, max {max}"
+            ));
+        }
+        Ok(Self {
+            counts,
+            count,
+            sum,
+            min,
+            max,
+        })
     }
 
     /// Index of the bucket a margin falls into (last index = overflow).
@@ -186,6 +218,38 @@ impl Confusion {
     /// An empty accumulator.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Rebuilds an accumulator from its raw parts, as a forwarded worker
+    /// batch carries them. Parts no recorder could produce are an error:
+    /// `correct > labeled`, or bin totals or pair counts that do not sum
+    /// to `labeled`.
+    pub fn from_parts(
+        labeled: u64,
+        correct: u64,
+        bins: [CalibrationBin; MARGIN_BUCKETS],
+        pairs: BTreeMap<(u32, u32), u64>,
+    ) -> Result<Self, String> {
+        if correct > labeled {
+            return Err(format!(
+                "confusion counts {correct} correct of {labeled} labelled"
+            ));
+        }
+        let binned: u128 = bins.iter().map(|b| u128::from(b.total)).sum();
+        let paired: u128 = pairs.values().map(|&n| u128::from(n)).sum();
+        for (sum, what) in [(binned, "calibration bins"), (paired, "confusion pairs")] {
+            if sum != u128::from(labeled) {
+                return Err(format!(
+                    "{what} hold {sum} predictions but {labeled} were labelled"
+                ));
+            }
+        }
+        Ok(Self {
+            labeled,
+            correct,
+            pairs,
+            bins,
+        })
     }
 
     /// Records one labelled prediction with its margin.
@@ -763,5 +827,64 @@ mod tests {
         obs.observe(None, 1, 25);
         assert_eq!(obs.confusion.labeled(), 32);
         assert_eq!(obs.margins.count(), 33);
+    }
+
+    #[test]
+    fn sketch_from_parts_accepts_recorded_parts_and_rejects_impossible_ones() {
+        let mut recorded = MarginSketch::new();
+        for m in [0, 3, 70_000] {
+            recorded.record(m);
+        }
+        let parts = |s: &MarginSketch| (s.counts, s.count, s.sum, s.min, s.max);
+        for s in [MarginSketch::new(), recorded.clone()] {
+            let (counts, count, sum, min, max) = parts(&s);
+            assert_eq!(
+                MarginSketch::from_parts(counts, count, sum, min, max),
+                Ok(s)
+            );
+        }
+
+        let (counts, count, sum, min, max) = parts(&recorded);
+        let err = MarginSketch::from_parts(counts, count + 1, sum, min, max).unwrap_err();
+        assert!(err.contains("buckets hold 3"), "{err}");
+        let mut more = counts;
+        more[0] = u64::MAX;
+        assert!(MarginSketch::from_parts(more, count, sum, min, max).is_err());
+
+        let empty = [0; MARGIN_BUCKETS];
+        for (sum, min, max) in [(1, u64::MAX, 0), (0, 5, 0), (0, u64::MAX, 9)] {
+            let err = MarginSketch::from_parts(empty, 0, sum, min, max).unwrap_err();
+            assert!(err.contains("empty margin sketch"), "{err}");
+        }
+    }
+
+    #[test]
+    fn confusion_from_parts_accepts_recorded_parts_and_rejects_impossible_ones() {
+        let mut recorded = Confusion::new();
+        recorded.record(2, 2, 70_000);
+        recorded.record(1, 2, 0);
+        recorded.record(0, 0, 12);
+        let rebuild =
+            |labeled, correct, bins, pairs| Confusion::from_parts(labeled, correct, bins, pairs);
+        let (bins, pairs) = (recorded.bins, recorded.pairs.clone());
+        for c in [Confusion::new(), recorded.clone()] {
+            assert_eq!(
+                rebuild(c.labeled, c.correct, c.bins, c.pairs.clone()),
+                Ok(c)
+            );
+        }
+
+        let err = rebuild(3, 4, bins, pairs.clone()).unwrap_err();
+        assert!(err.contains("4 correct of 3"), "{err}");
+
+        let mut short_bins = bins;
+        short_bins[0].total -= 1;
+        let err = rebuild(3, 2, short_bins, pairs.clone()).unwrap_err();
+        assert!(err.contains("calibration bins hold 2"), "{err}");
+
+        let mut extra_pair = pairs.clone();
+        extra_pair.insert((5, 6), 1);
+        let err = rebuild(3, 2, bins, extra_pair).unwrap_err();
+        assert!(err.contains("confusion pairs hold 4"), "{err}");
     }
 }

@@ -206,7 +206,10 @@ mod tests {
         snap.quality.record_outcome(0, 1, 60);
         let json = snap.to_json();
         assert!(json.contains("\"task\":\"har\""), "{json}");
-        assert!(json.contains("\"margin\":{\"count\":3,\"sum\":100"), "{json}");
+        assert!(
+            json.contains("\"margin\":{\"count\":3,\"sum\":100"),
+            "{json}"
+        );
         assert!(json.contains("\"predictions\":{\"0\":1,\"1\":2}"), "{json}");
         assert!(json.contains("\"labeled\":2,\"correct\":1"), "{json}");
         assert!(json.contains("\"accuracy\":0.5"), "{json}");

@@ -11,8 +11,11 @@ use univsa_data::tasks;
 use univsa_data::DriftSpec;
 use univsa_telemetry::{DriftConfig, DriftDetector, MarginSketch, QualityStats};
 
-/// Every statistic a sketch reports, as one comparable value.
-fn fingerprint(sketch: &MarginSketch) -> (u64, Vec<u64>, Option<u64>, Option<u64>, Vec<Option<u64>>) {
+/// Every statistic a sketch reports, as one comparable value: count,
+/// bucket counts, min, max and a fixed set of quantiles.
+type Fingerprint = (u64, Vec<u64>, Option<u64>, Option<u64>, Vec<Option<u64>>);
+
+fn fingerprint(sketch: &MarginSketch) -> Fingerprint {
     let quantiles = [0.0, 0.25, 0.5, 0.9, 0.99, 1.0]
         .iter()
         .map(|&q| sketch.quantile(q))
@@ -159,10 +162,7 @@ fn drift_detector_is_a_pure_function_of_stream_and_seed() {
 
     // a different seed moves only the threshold jitter, never by more
     // than the documented 0.05 band
-    let other = DriftDetector::new(DriftConfig {
-        seed: 10,
-        ..config
-    });
+    let other = DriftDetector::new(DriftConfig { seed: 10, ..config });
     assert!((other.threshold() - threshold_a).abs() < 0.05);
 }
 
