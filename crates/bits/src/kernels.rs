@@ -1,22 +1,28 @@
 //! Runtime-dispatched popcount / XOR-popcount kernels.
 //!
 //! Every similarity, Hamming-distance, and binary-convolution inner loop in
-//! the workspace reduces to one of two primitives over packed `u64` slabs:
+//! the workspace reduces to one of three primitives over packed `u64` slabs:
 //!
 //! * [`count_ones`] — `Σ popcount(wᵢ)`
 //! * [`xor_popcount`] — `Σ popcount(aᵢ ^ bᵢ)` (the Hamming distance of two
 //!   canonical packed vectors)
+//! * [`BitConv`] — a zero-padded binary convolution lowered to one binary
+//!   GEMM, `[W·L × K²·C] × [K²·C × O]`: per grid position and output
+//!   channel, `Σ popcount((patch ^ kernel_row) & in_bounds)` over a bit
+//!   im2col patch matrix, either compared with a per-position threshold
+//!   ([`BitConv::sign_planes_with`]) or returned as a count
+//!   ([`BitConv::hamming_with`])
 //!
-//! Both are provided at several *dispatch tiers* selected once at startup
+//! All three are provided at several *dispatch tiers* selected once at startup
 //! ([`active`]) from CPU feature detection, overridable with the
 //! `UNIVSA_KERNELS` environment variable:
 //!
-//! | tier       | arch      | technique                                     |
-//! |------------|-----------|-----------------------------------------------|
-//! | `portable` | any       | 4-word chunked `u64::count_ones`, u64 accum   |
-//! | `popcnt`   | x86_64    | same loop compiled with the POPCNT ISA enabled|
-//! | `avx2`     | x86_64    | 256-bit vpshufb nibble-LUT + `psadbw` reduce  |
-//! | `neon`     | aarch64   | 128-bit `cnt` + horizontal add                |
+//! | tier       | arch    | popcount / XOR-popcount                        | [`BitConv`]                                   |
+//! |------------|---------|------------------------------------------------|-----------------------------------------------|
+//! | `portable` | any     | 4-word chunked `u64::count_ones`, u64 accum    | 64 patches per kernel row, `u64::count_ones`  |
+//! | `popcnt`   | x86_64  | same loop compiled with the POPCNT ISA enabled | same loop compiled with POPCNT                |
+//! | `avx2`     | x86_64  | 256-bit vpshufb nibble-LUT + `psadbw` reduce   | 4 patches ^ broadcast kernel word, nibble-LUT byte counts flushed through `psadbw` before 255, `cmpgt` + `movemask` |
+//! | `neon`     | aarch64 | 128-bit `cnt` + horizontal add                 | the portable loop                             |
 //!
 //! `UNIVSA_KERNELS` accepts `portable`, `native` (best available — the
 //! default), or an explicit tier name; an explicit tier the CPU cannot run
@@ -35,6 +41,8 @@
 //! through unaligned loads from in-bounds slices.
 
 use std::sync::OnceLock;
+
+use crate::word::tail_mask;
 
 /// One SIMD dispatch tier for the popcount kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -250,6 +258,434 @@ fn xor_popcount_portable(a: &[u64], b: &[u64]) -> u64 {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
+// ---------------------------------------------------------------------------
+// binary convolution: bit im2col + XOR/popcount GEMM
+// ---------------------------------------------------------------------------
+
+/// Grid positions per patch block: one output word of sign bits.
+const BLOCK: usize = 64;
+
+/// Geometry of a stride-1, zero-padded binary convolution with an odd
+/// `k × k` window over a `width × length` grid of `channels`-bit position
+/// vectors (bit `1` ⇔ `+1`). It fixes two bit layouts:
+///
+/// * the **image**: the grid row by row inside a ring of `k/2` zero
+///   positions, each position `channels` consecutive bits (a zeroed buffer
+///   of [`ConvGeometry::image_words`] filled through [`ConvGeometry::put`]),
+///   so the `k` window taps of one row are one contiguous strip of
+///   `k·channels` bits, zero where the window leaves the grid;
+/// * the **patch** and **kernel row**: the `k²` taps in `ky·k + kx` order,
+///   `channels` bits each ([`ConvGeometry::patch_words`] words, a kernel
+///   row filled through [`ConvGeometry::put_tap`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvGeometry {
+    width: usize,
+    length: usize,
+    channels: usize,
+    k: usize,
+}
+
+impl ConvGeometry {
+    /// # Panics
+    ///
+    /// Panics if an extent is zero or `k` is even.
+    #[must_use]
+    pub fn new(width: usize, length: usize, channels: usize, k: usize) -> Self {
+        assert!(
+            width > 0 && length > 0 && channels > 0 && k % 2 == 1,
+            "conv geometry needs nonzero extents and an odd kernel"
+        );
+        Self {
+            width,
+            length,
+            channels,
+            k,
+        }
+    }
+
+    /// Grid positions `width·length`.
+    fn positions(&self) -> usize {
+        self.width * self.length
+    }
+
+    /// Words of one patch or kernel row, `⌈k²·channels / 64⌉`.
+    #[must_use]
+    pub fn patch_words(&self) -> usize {
+        crate::word::words_for(self.k * self.k * self.channels)
+    }
+
+    /// Words of an image buffer, including one slack word so a 64-bit read
+    /// at any strip offset stays in bounds.
+    #[must_use]
+    pub fn image_words(&self) -> usize {
+        let padded = (self.width + self.k - 1) * self.padded_length();
+        crate::word::words_for(padded * self.channels) + 1
+    }
+
+    fn padded_length(&self) -> usize {
+        self.length + self.k - 1
+    }
+
+    /// ORs `bits` into channels `channel..` of grid position `(y, x)` of an
+    /// image; bits past the last channel are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the position or channel is out of range or `image` is
+    /// shorter than [`ConvGeometry::image_words`].
+    pub fn put(&self, image: &mut [u64], y: usize, x: usize, channel: usize, bits: u64) {
+        assert!(
+            y < self.width && x < self.length && channel < self.channels,
+            "position or channel out of range"
+        );
+        let len = (self.channels - channel).min(64);
+        let pad = self.k / 2;
+        let off = ((y + pad) * self.padded_length() + x + pad) * self.channels + channel;
+        or_bits(image, 1, off, bits & tail_mask(len), len);
+    }
+
+    /// ORs `bits` into channels `channel..` of window tap `tap` (`ky·k +
+    /// kx`) of a kernel row; bits past the last channel are dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tap or channel is out of range or `row` is shorter
+    /// than [`ConvGeometry::patch_words`].
+    pub fn put_tap(&self, row: &mut [u64], tap: usize, channel: usize, bits: u64) {
+        assert!(
+            tap < self.k * self.k && channel < self.channels,
+            "tap or channel out of range"
+        );
+        let len = (self.channels - channel).min(64);
+        or_bits(
+            row,
+            1,
+            tap * self.channels + channel,
+            bits & tail_mask(len),
+            len,
+        );
+    }
+
+    /// In-bounds patch bits per grid position, `taps·channels`, with
+    /// `taps` the window taps inside the grid (zero padding shrinks the
+    /// window at the borders).
+    #[must_use]
+    pub fn in_bounds_bits(&self) -> Vec<usize> {
+        let pad = self.k / 2;
+        let span = |i: usize, n: usize| (i + pad + 1).min(n) - i.saturating_sub(pad);
+        let mut out = Vec::with_capacity(self.positions());
+        for y in 0..self.width {
+            let rows = span(y, self.width);
+            out.extend((0..self.length).map(|x| rows * span(x, self.length) * self.channels));
+        }
+        out
+    }
+
+    /// Fills `scratch` (`2 · patch_words · 64` words) with the patches of
+    /// block `b` — grid positions `64·b ..` — and their in-bounds masks,
+    /// word `w` of the block's patch `j` at `w·64 + j` in each half, zero
+    /// past the block's last position. Every patch is `k` row strips, each
+    /// one contiguous `k·channels` bits of the image read at once, so the
+    /// loop runs strip by strip over the block's patches with the strip's
+    /// word and shift in the patch fixed. A border patch's mask is built
+    /// from the `ones_row` strips of its in-grid window rows, an interior
+    /// patch's is all ones. Returns the number of positions in the block.
+    fn fill_block(&self, image: &[u64], ones_row: &[u64], b: usize, scratch: &mut [u64]) -> usize {
+        let (k, c, lp) = (self.k, self.channels, self.padded_length());
+        let pad = k / 2;
+        let strip = k * c;
+        let nw = self.patch_words();
+        let first = b * BLOCK;
+        let lanes = (self.positions() - first).min(BLOCK);
+        scratch.fill(0);
+        let (patches, masks) = scratch.split_at_mut(nw * BLOCK);
+        // image bit offset of each patch's first strip
+        let mut base = [0usize; BLOCK];
+        let (mut y, mut x) = (first / self.length, first % self.length);
+        for at in &mut base[..lanes] {
+            *at = (y * lp + x) * c;
+            x += 1;
+            if x == self.length {
+                (y, x) = (y + 1, 0);
+            }
+        }
+        for ky in 0..k {
+            for done in (0..strip).step_by(64) {
+                let len = (strip - done).min(64);
+                let keep = tail_mask(len);
+                let (w, sh) = ((ky * strip + done) / 64, (ky * strip + done) % 64);
+                let src = ky * lp * c + done;
+                let (low, high) = patches.split_at_mut((w + 1) * BLOCK);
+                let low = &mut low[w * BLOCK..];
+                if sh + len > 64 {
+                    let high = &mut high[..BLOCK];
+                    for ((&at, lo), hi) in base[..lanes].iter().zip(low).zip(high) {
+                        let bits = read_bits(image, at + src) & keep;
+                        *lo |= bits << sh;
+                        *hi |= bits >> (64 - sh);
+                    }
+                } else {
+                    for (&at, lo) in base[..lanes].iter().zip(low) {
+                        *lo |= (read_bits(image, at + src) & keep) << sh;
+                    }
+                }
+            }
+        }
+        for j in 0..lanes {
+            let (y, x) = ((first + j) / self.length, (first + j) % self.length);
+            // window rows ky whose source row y + ky − pad is in the grid
+            let rows = pad.saturating_sub(y)..(self.width + pad - y).min(k);
+            if rows.len() == k && x >= pad && x + pad < self.length {
+                for w in 0..nw {
+                    masks[w * BLOCK + j] = u64::MAX;
+                }
+                masks[(nw - 1) * BLOCK + j] = tail_mask(k * strip);
+                continue;
+            }
+            for ky in rows {
+                for done in (0..strip).step_by(64) {
+                    let len = (strip - done).min(64);
+                    let valid = read_bits(ones_row, x * c + done) & tail_mask(len);
+                    or_bits(&mut masks[j..], BLOCK, ky * strip + done, valid, len);
+                }
+            }
+        }
+        lanes
+    }
+}
+
+/// A binary convolution lowered to a binary GEMM: [`ConvGeometry`] plus one
+/// kernel row per output channel. Patches are built per block of 64 grid
+/// positions into one reused scratch buffer, so no table grows with
+/// `positions × k²` or `out_channels × positions`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitConv {
+    geometry: ConvGeometry,
+    /// Kernel rows, `out_channels × patch_words`.
+    rows: Vec<u64>,
+    /// One image row with every in-grid channel bit set: its strips are
+    /// the in-bounds column masks of the patches.
+    ones_row: Vec<u64>,
+}
+
+impl BitConv {
+    /// Wraps kernel rows laid out by [`ConvGeometry::put_tap`], one
+    /// `patch_words` row per output channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is empty or not a whole number of kernel rows.
+    #[must_use]
+    pub fn new(geometry: ConvGeometry, rows: Vec<u64>) -> Self {
+        let nw = geometry.patch_words();
+        assert!(
+            !rows.is_empty() && rows.len().is_multiple_of(nw),
+            "kernel rows must be whole {nw}-word rows"
+        );
+        // one padded image row (plus the slack word) with the in-grid
+        // positions' bits set
+        let c = geometry.channels;
+        let pad = geometry.k / 2;
+        let mut ones_row = vec![0u64; crate::word::words_for(geometry.padded_length() * c) + 1];
+        for bit in pad * c..(pad + geometry.length) * c {
+            ones_row[bit / 64] |= 1 << (bit % 64);
+        }
+        Self {
+            geometry,
+            rows,
+            ones_row,
+        }
+    }
+
+    /// The convolution geometry.
+    #[must_use]
+    pub fn geometry(&self) -> &ConvGeometry {
+        &self.geometry
+    }
+
+    /// Output channels `O`.
+    fn out_channels(&self) -> usize {
+        self.rows.len() / self.geometry.patch_words()
+    }
+
+    /// Sign planes of the convolution of `image`: bit `p` of plane `o`
+    /// (`out_channels × ⌈positions/64⌉` words, tail bits clear) is set when
+    /// the in-bounds Hamming distance between patch `p` and kernel row `o`
+    /// is at most `thresholds[p]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` or `thresholds` does not match the geometry.
+    #[must_use]
+    pub fn sign_planes_with(
+        &self,
+        tier: KernelTier,
+        image: &[u64],
+        thresholds: &[u32],
+    ) -> Vec<u64> {
+        let blocks = crate::word::words_for(self.geometry.positions());
+        assert_eq!(
+            thresholds.len(),
+            self.geometry.positions(),
+            "one threshold per position"
+        );
+        let mut planes = vec![0u64; self.out_channels() * blocks];
+        self.for_each_block(image, |b, block| {
+            let output = Output::Sign {
+                thresholds: &thresholds[b * BLOCK..b * BLOCK + block.lanes],
+                planes: &mut planes[b..],
+                stride: blocks,
+            };
+            run_block(tier, &block, &self.rows, output);
+        });
+        planes
+    }
+
+    /// In-bounds Hamming distances between every patch of `image` and every
+    /// kernel row, written to `hams` as `out_channels × positions`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` or `hams` does not match the geometry.
+    pub fn hamming_with(&self, tier: KernelTier, image: &[u64], hams: &mut [u32]) {
+        let n = self.geometry.positions();
+        assert_eq!(
+            hams.len(),
+            self.out_channels() * n,
+            "one count per channel and position"
+        );
+        self.for_each_block(image, |b, block| {
+            let output = Output::Counts {
+                hams: &mut hams[b * BLOCK..],
+                stride: n,
+            };
+            run_block(tier, &block, &self.rows, output);
+        });
+    }
+
+    /// Builds each block's patches into one scratch buffer and hands them
+    /// to `run`.
+    fn for_each_block(&self, image: &[u64], mut run: impl FnMut(usize, Block<'_>)) {
+        let g = &self.geometry;
+        assert_eq!(
+            image.len(),
+            g.image_words(),
+            "image does not match the geometry"
+        );
+        let nw = g.patch_words();
+        let mut scratch = vec![0u64; 2 * nw * BLOCK];
+        for b in 0..crate::word::words_for(g.positions()) {
+            let lanes = g.fill_block(image, &self.ones_row, b, &mut scratch);
+            let (patches, masks) = scratch.split_at(nw * BLOCK);
+            run(
+                b,
+                Block {
+                    patches,
+                    masks,
+                    words: nw,
+                    lanes,
+                },
+            );
+        }
+    }
+}
+
+/// One block of 64 patches and their in-bounds masks, word `w` of patch
+/// `j` at `w·64 + j`; patches at `lanes..` are all zero.
+struct Block<'a> {
+    patches: &'a [u64],
+    masks: &'a [u64],
+    words: usize,
+    lanes: usize,
+}
+
+/// ORs the low `len ≤ 64` bits of `bits` (higher bits clear) into the bit
+/// string whose word `i` is `dst[i · stride]`, starting at bit `off`.
+#[inline(always)]
+fn or_bits(dst: &mut [u64], stride: usize, off: usize, bits: u64, len: usize) {
+    let (w, sh) = (off / 64, off % 64);
+    dst[w * stride] |= bits << sh;
+    if sh + len > 64 {
+        dst[(w + 1) * stride] |= bits >> (64 - sh);
+    }
+}
+
+/// The 64 bits of `src` from bit `off` on (`src` must hold the word after
+/// `off`'s: images and `ones_row` keep a slack word for that).
+#[inline(always)]
+fn read_bits(src: &[u64], off: usize) -> u64 {
+    let (w, sh) = (off / 64, off % 64);
+    // the next word shifted in two steps, so `sh = 0` adds nothing
+    (src[w] >> sh) | ((src[w + 1] << 1) << (63 - sh))
+}
+
+/// Portable block kernel: the in-bounds Hamming distance of each of the
+/// block's 64 patches to one kernel row.
+#[inline(always)]
+fn block_hams(block: &Block<'_>, row: &[u64]) -> [u32; BLOCK] {
+    let mut hams = [0u32; BLOCK];
+    for (w, &k) in row.iter().enumerate() {
+        let patches = &block.patches[w * BLOCK..(w + 1) * BLOCK];
+        let masks = &block.masks[w * BLOCK..(w + 1) * BLOCK];
+        for ((h, &p), &m) in hams.iter_mut().zip(patches).zip(masks) {
+            *h += ((p ^ k) & m).count_ones();
+        }
+    }
+    hams
+}
+
+/// What a block kernel writes for output channel `o` and block lane `j`.
+enum Output<'a> {
+    /// Bit `j` of `planes[o · stride]`: `ham(j, o) ≤ thresholds[j]`, one
+    /// threshold per live lane.
+    Sign {
+        thresholds: &'a [u32],
+        planes: &'a mut [u64],
+        stride: usize,
+    },
+    /// `hams[o · stride + j] = ham(j, o)` per live lane.
+    Counts { hams: &'a mut [u32], stride: usize },
+}
+
+/// Runs one block against every kernel row at `tier`.
+fn run_block(tier: KernelTier, block: &Block<'_>, rows: &[u64], output: Output<'_>) {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Popcnt if tier.is_available() => x86::block_popcnt(block, rows, output),
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx2 if tier.is_available() => x86::block_avx2(block, rows, output),
+        _ => block_portable(block, rows, output),
+    }
+}
+
+/// Portable block kernel (the `popcnt` tier compiles it with POPCNT).
+#[inline(always)]
+fn block_portable(block: &Block<'_>, rows: &[u64], output: Output<'_>) {
+    let rows = rows.chunks_exact(block.words).enumerate();
+    match output {
+        Output::Sign {
+            thresholds,
+            planes,
+            stride,
+        } => {
+            for (o, row) in rows {
+                let hams = block_hams(block, row);
+                let mut bits = 0u64;
+                for (j, (&h, &t)) in hams.iter().zip(thresholds).enumerate() {
+                    bits |= u64::from(h <= t) << j;
+                }
+                planes[o * stride] = bits;
+            }
+        }
+        Output::Counts { hams, stride } => {
+            for (o, row) in rows {
+                let counts = block_hams(block, row);
+                hams[o * stride..o * stride + block.lanes].copy_from_slice(&counts[..block.lanes]);
+            }
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
@@ -259,10 +695,13 @@ mod x86 {
     //! feature; all memory access is unaligned loads from in-bounds slice
     //! chunks.
 
+    use super::{tail_mask, Block, Output, BLOCK};
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_extract_epi64,
-        _mm256_loadu_si256, _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setr_epi8,
-        _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi32, _mm256_xor_si256,
+        __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_castsi256_pd,
+        _mm256_cmpgt_epi64, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
+        _mm256_sad_epu8, _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setr_epi8,
+        _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi32, _mm256_storeu_si256,
+        _mm256_xor_si256,
     };
 
     /// Scalar loop with the POPCNT ISA enabled so `count_ones` compiles to
@@ -296,6 +735,35 @@ mod x86 {
         unsafe { xor_popcount_avx2_impl(a, b) }
     }
 
+    /// See [`count_ones_popcnt`].
+    pub fn block_popcnt(block: &Block<'_>, rows: &[u64], output: Output<'_>) {
+        assert!(std::arch::is_x86_feature_detected!("popcnt"));
+        // SAFETY: POPCNT availability verified just above.
+        unsafe { block_popcnt_impl(block, rows, output) }
+    }
+
+    /// Safe AVX2 entry point; probes the feature and the block shape
+    /// `group_hams` reads within: both halves hold `words · 64` words, at
+    /// most 64 lanes, whole kernel rows.
+    pub fn block_avx2(block: &Block<'_>, rows: &[u64], output: Output<'_>) {
+        assert!(std::arch::is_x86_feature_detected!("avx2"));
+        assert!(
+            block.words > 0
+                && block.patches.len() == block.words * BLOCK
+                && block.masks.len() == block.words * BLOCK
+                && block.lanes <= BLOCK
+                && rows.len().is_multiple_of(block.words),
+            "malformed conv block"
+        );
+        // SAFETY: AVX2 availability and the block shape verified just above.
+        unsafe { block_avx2_impl(block, rows, output) }
+    }
+
+    #[target_feature(enable = "popcnt")]
+    unsafe fn block_popcnt_impl(block: &Block<'_>, rows: &[u64], output: Output<'_>) {
+        super::block_portable(block, rows, output);
+    }
+
     #[target_feature(enable = "popcnt")]
     unsafe fn count_ones_popcnt_impl(words: &[u64]) -> u64 {
         super::count_ones_portable(words)
@@ -311,6 +779,13 @@ mod x86 {
     /// four u64 partials.
     #[target_feature(enable = "avx2")]
     unsafe fn popcount256(v: __m256i) -> __m256i {
+        _mm256_sad_epu8(popcount_bytes256(v), _mm256_setzero_si256())
+    }
+
+    /// Per-byte popcount of a 256-bit lane via the vpshufb nibble lookup:
+    /// each byte lane holds the count of its own 8 bits.
+    #[target_feature(enable = "avx2")]
+    unsafe fn popcount_bytes256(v: __m256i) -> __m256i {
         #[rustfmt::skip]
         let lookup = _mm256_setr_epi8(
             0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
@@ -319,11 +794,92 @@ mod x86 {
         let low_mask = _mm256_set1_epi8(0x0f);
         let lo = _mm256_and_si256(v, low_mask);
         let hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-        let cnt = _mm256_add_epi8(
+        _mm256_add_epi8(
             _mm256_shuffle_epi8(lookup, lo),
             _mm256_shuffle_epi8(lookup, hi),
-        );
-        _mm256_sad_epu8(cnt, _mm256_setzero_si256())
+        )
+    }
+
+    /// In-bounds Hamming distances of patches `j..j + 4` of a block to one
+    /// kernel row, as four u64 lanes: XOR against the broadcast kernel
+    /// word, AND the mask, count into byte lanes.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available, `row.len() == block.words`, both block
+    /// halves must hold `block.words · 64` words, and `j + 4 ≤ 64`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn group_hams(block: &Block<'_>, row: &[u64], j: usize) -> __m256i {
+        let (patches, masks) = (block.patches.as_ptr(), block.masks.as_ptr());
+        let mut acc = _mm256_setzero_si256();
+        // a word adds at most 8 to a byte lane: flush the lanes through
+        // psadbw every 31 words, before one can pass 255
+        for (c, chunk) in row.chunks(31).enumerate() {
+            let mut bytes = _mm256_setzero_si256();
+            for (i, &k) in chunk.iter().enumerate() {
+                let at = (c * 31 + i) * BLOCK + j;
+                let x = _mm256_and_si256(
+                    _mm256_xor_si256(
+                        _mm256_loadu_si256(patches.add(at).cast()),
+                        _mm256_set1_epi64x(k as i64),
+                    ),
+                    _mm256_loadu_si256(masks.add(at).cast()),
+                );
+                bytes = _mm256_add_epi8(bytes, popcount_bytes256(x));
+            }
+            acc = _mm256_add_epi64(acc, _mm256_sad_epu8(bytes, _mm256_setzero_si256()));
+        }
+        acc
+    }
+
+    /// # Safety
+    ///
+    /// As [`group_hams`], for every row of `rows`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn block_avx2_impl(block: &Block<'_>, rows: &[u64], output: Output<'_>) {
+        let groups = block.lanes.div_ceil(4);
+        let rows = rows.chunks_exact(block.words).enumerate();
+        match output {
+            Output::Sign {
+                thresholds,
+                planes,
+                stride,
+            } => {
+                // thresholds widened to the u64 lanes once per block; lanes
+                // past the block's end compare garbage and are masked off
+                let mut thr = [0i64; BLOCK];
+                for (t, &v) in thr.iter_mut().zip(thresholds) {
+                    *t = i64::from(v);
+                }
+                for (o, row) in rows {
+                    let mut bits = 0u64;
+                    for g in 0..groups {
+                        let hams = group_hams(block, row, 4 * g);
+                        let t = _mm256_loadu_si256(thr.as_ptr().add(4 * g).cast());
+                        let over =
+                            _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(hams, t)));
+                        bits |= u64::from((!over & 0xF) as u8) << (4 * g);
+                    }
+                    planes[o * stride] = bits & tail_mask(block.lanes);
+                }
+            }
+            Output::Counts { hams, stride } => {
+                let mut lanes = [0u64; 4];
+                for (o, row) in rows {
+                    let out = &mut hams[o * stride..o * stride + block.lanes];
+                    for (g, dst) in out.chunks_mut(4).enumerate() {
+                        _mm256_storeu_si256(
+                            lanes.as_mut_ptr().cast(),
+                            group_hams(block, row, 4 * g),
+                        );
+                        for (d, &h) in dst.iter_mut().zip(&lanes) {
+                            *d = h as u32;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[target_feature(enable = "avx2")]
@@ -513,5 +1069,37 @@ mod tests {
         assert!(KernelTier::Portable.is_available());
         assert!(native_tier().is_available());
         assert!(active().is_available());
+    }
+
+    #[test]
+    fn conv_byte_lanes_flush_before_they_overflow() {
+        // an all-ones image against an all-zero kernel row disagrees on
+        // every in-bounds bit: 8 per byte lane per word, so a 49-word
+        // patch (C = 64, k = 7) passes 255 unless the lanes are flushed
+        let geometry = ConvGeometry::new(7, 8, 64, 7);
+        assert_eq!(geometry.patch_words(), 49);
+        let mut image = vec![0u64; geometry.image_words()];
+        for y in 0..7 {
+            for x in 0..8 {
+                geometry.put(&mut image, y, x, 0, u64::MAX);
+            }
+        }
+        let conv = BitConv::new(geometry, vec![0; 2 * 49]);
+        let expect: Vec<u32> = geometry
+            .in_bounds_bits()
+            .iter()
+            .chain(&geometry.in_bounds_bits())
+            .map(|&b| b as u32)
+            .collect();
+        assert_eq!(
+            expect[3 * 8 + 3],
+            49 * 64,
+            "an interior patch is all in bounds"
+        );
+        for tier in KernelTier::ALL {
+            let mut hams = vec![0u32; 2 * 56];
+            conv.hamming_with(tier, &image, &mut hams);
+            assert_eq!(hams, expect, "tier {tier}");
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests for the packed bit substrate.
 
 use proptest::prelude::*;
+use univsa_bits::kernels::{xnor_popcount_word, BitConv, ConvGeometry, KernelTier};
 use univsa_bits::{BitMatrix, BitVec, Bundler};
 
 fn arb_bipolar(dim: usize) -> impl Strategy<Value = Vec<i8>> {
@@ -107,5 +108,110 @@ proptest! {
         let v = BitVec::from_bipolar(&a).unwrap();
         let parsed: BitVec = v.to_string().parse().unwrap();
         prop_assert_eq!(parsed, v);
+    }
+}
+
+/// Deterministic word stream for the conv property's grids and kernels.
+fn splitmix(seed: &mut u64) -> u64 {
+    *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *seed;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The binary-GEMM conv against a naive per-tap loop over a
+    /// zero-padded grid, at every tier this CPU runs: every Hamming count,
+    /// and every sign bit against random thresholds. The shapes cover
+    /// 1-word patches (`k²·C ≤ 64`), 2-word patches (`C = 8, k = 3`, the
+    /// Table I width), 25-word patches (`C = 64, k = 5`) and a random mix.
+    #[test]
+    fn bit_conv_matches_naive_per_tap_loop(
+        width in 1usize..8,
+        length in 1usize..10,
+        shape in 0usize..4,
+        wide in 1usize..=64,
+        out in 1usize..6,
+        mut seed in any::<u64>(),
+    ) {
+        let (channels, k) = match shape {
+            0 => (1 + wide % 7, 3),
+            1 => (8, 3),
+            2 => (64, 5),
+            _ => (wide, [1, 3, 5][wide % 3]),
+        };
+        let geometry = ConvGeometry::new(width, length, channels, k);
+        let n = width * length;
+        let chan_mask = if channels == 64 { u64::MAX } else { (1u64 << channels) - 1 };
+        let grid: Vec<u64> = (0..n).map(|_| splitmix(&mut seed) & chan_mask).collect();
+        // deliberately unmasked kernel words: bits past the channels drop
+        let taps: Vec<u64> = (0..out * k * k).map(|_| splitmix(&mut seed)).collect();
+
+        let mut image = vec![0u64; geometry.image_words()];
+        for (pos, &word) in grid.iter().enumerate() {
+            geometry.put(&mut image, pos / length, pos % length, 0, word);
+        }
+        let nw = geometry.patch_words();
+        let mut rows = vec![0u64; out * nw];
+        for (o, row) in rows.chunks_exact_mut(nw).enumerate() {
+            for t in 0..k * k {
+                geometry.put_tap(row, t, 0, taps[o * k * k + t]);
+            }
+        }
+        let conv = BitConv::new(geometry, rows);
+
+        let pad = k / 2;
+        let mut naive = vec![0u32; out * n];
+        for o in 0..out {
+            for y in 0..width {
+                for x in 0..length {
+                    let mut ham = 0;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let (sy, sx) = (y + ky, x + kx);
+                            if sy < pad || sy - pad >= width || sx < pad || sx - pad >= length {
+                                continue; // zero padding: the tap is out of the grid
+                            }
+                            let cell = grid[(sy - pad) * length + sx - pad];
+                            let tap = taps[o * k * k + ky * k + kx];
+                            ham += channels as u32 - xnor_popcount_word(cell, tap, chan_mask);
+                        }
+                    }
+                    naive[o * n + y * length + x] = ham;
+                }
+            }
+        }
+        let in_bounds = geometry.in_bounds_bits();
+        let thresholds: Vec<u32> = in_bounds
+            .iter()
+            .map(|&b| (splitmix(&mut seed) % (b as u64 + 1)) as u32)
+            .collect();
+        let words = n.div_ceil(64);
+        let mut expect_planes = vec![0u64; out * words];
+        for o in 0..out {
+            for p in 0..n {
+                if naive[o * n + p] <= thresholds[p] {
+                    expect_planes[o * words + p / 64] |= 1 << (p % 64);
+                }
+            }
+        }
+
+        for tier in KernelTier::ALL.into_iter().filter(|t| t.is_available()) {
+            let mut hams = vec![0u32; out * n];
+            conv.hamming_with(tier, &image, &mut hams);
+            prop_assert_eq!(&hams, &naive, "hamming counts at tier {}", tier);
+            let planes = conv.sign_planes_with(tier, &image, &thresholds);
+            prop_assert_eq!(&planes, &expect_planes, "sign planes at tier {}", tier);
+        }
+        // in_bounds_bits counts the window taps inside the grid
+        for (p, &b) in in_bounds.iter().enumerate() {
+            let (y, x) = (p / length, p % length);
+            let rows = (y + pad + 1).min(width) - y.saturating_sub(pad);
+            let cols = (x + pad + 1).min(length) - x.saturating_sub(pad);
+            prop_assert_eq!(b, rows * cols * channels);
+        }
     }
 }

@@ -8,19 +8,16 @@
 //!    two level-indexed `u64` tables. The low table pre-applies the
 //!    constant `+1` fill for channels `D_L..D_H`, so building a sample's
 //!    value map is one table read per grid position.
-//! 2. **BiConv → hamming thresholds.** Each kernel tap word is pre-masked
-//!    to the `D_H` channel lanes, and the bipolar sign test
-//!    `Σ (2·popcount(xnor) − D_H) ≥ 0` is rewritten as
-//!    `Σ popcount(xor) ≤ ⌊taps·D_H/2⌋` with the per-position tap count
-//!    (zero padding shrinks it at the borders) folded into a precomputed
-//!    threshold table — the inner loop is a bare `xor` + `count_ones`.
-//!    When `D_H ≤ 8` (every Table I configuration), the conv is further
-//!    lowered to a **byte-lane SWAR** form: 8 grid positions share one
-//!    `u64` (one byte lane each), kernel tap bytes are replicated across
-//!    all lanes, and a carry-free SWAR byte popcount accumulates 8
-//!    hamming sums per op; the zero-pad ring contributes `popcount(tap)`
-//!    per out-of-bounds tap, which compiles into a per-channel corrected
-//!    threshold table so the inner loop stays branch-free at the borders.
+//! 2. **BiConv → binary GEMM.** The bipolar sign test
+//!    `Σ (2·popcount(xnor) − D_H) ≥ 0` is rewritten as the hamming test
+//!    `Σ popcount(xor) ≤ ⌊taps·D_H/2⌋`, with the per-position count of
+//!    in-grid taps (zero padding shrinks it at the borders) folded into a
+//!    threshold table. The `D_H`-masked kernel tap words are concatenated
+//!    into one `K²·D_H`-bit row per output channel, each sample's value
+//!    map is a zero-padded bit image, and [`BitConv`] runs the conv as a
+//!    `[W·L × K²·D_H] × [K²·D_H × O]` XOR/popcount GEMM over a bit im2col
+//!    patch matrix with in-bounds masks — the `univsa_bits::kernels` SIMD
+//!    tiers, one loop for every patch width.
 //! 3. **Encoder → vertical adder tree.** The per-channel XNOR with **F**
 //!    (stored pre-complemented so binding is a single `xor`) feeds a
 //!    bit-sliced ripple-carry counter: 64 grid positions are majority-
@@ -41,7 +38,7 @@
 //! ([`save_packed`] / [`load_packed`]) sharing the workspace magic, so a
 //! compiled model can ship to a target without the float training stack.
 
-use univsa_bits::kernels::{self, KernelTier};
+use univsa_bits::kernels::{self, BitConv, ConvGeometry, KernelTier};
 use univsa_bits::word::{tail_mask, words_for, BITS_PER_WORD};
 use univsa_data::Dataset;
 use univsa_nn::ConfusionMatrix;
@@ -74,7 +71,6 @@ pub struct PackedModel {
     voters: usize,
     /// Encoding channels: `O` with BiConv, `D_H` without.
     enc_channels: usize,
-    biconv: bool,
     /// VSA dimension `D = W·L` and its packed word count.
     dim: usize,
     words: usize,
@@ -88,6 +84,10 @@ pub struct PackedModel {
     /// Kernel tap words masked to the `D_H` channel lanes,
     /// `o·D_K² + ky·D_K + kx` order (empty when BiConv is off).
     kernel: Vec<u64>,
+    /// The BiConv as a binary GEMM, its kernel rows derived (never
+    /// serialized) from `kernel` on both [`PackedModel::compile`] and
+    /// [`load_packed`]; `None` when BiConv is off.
+    conv: Option<BitConv>,
     /// Per-position hamming-sum threshold `⌊taps·D_H/2⌋` implementing the
     /// zero-padded sign test (empty when BiConv is off).
     conv_thresholds: Vec<u32>,
@@ -101,92 +101,7 @@ pub struct PackedModel {
     /// Carry-chain constant `2^planes − ⌈enc_channels/2⌉` of the
     /// bit-sliced majority comparison.
     majority_add: u64,
-    /// Byte-lane SWAR conv tables, derived (never serialized) whenever
-    /// `D_H ≤ 8` and the per-lane hamming sum fits a signed byte.
-    swar: Option<SwarConv>,
     tier: KernelTier,
-}
-
-/// Derived tables for the byte-lane SWAR conv: 8 grid positions per
-/// `u64`, one byte lane each. Rebuilt from the base slabs on both
-/// [`PackedModel::compile`] and [`load_packed`].
-#[derive(Debug, Clone, PartialEq)]
-struct SwarConv {
-    /// Kernel tap bytes replicated across all 8 lanes,
-    /// `o·D_K² + ky·D_K + kx` order.
-    kernel_rep: Vec<u64>,
-    /// Per-`(channel, position)` thresholds with the zero-pad ring's
-    /// `popcount(tap)` contributions pre-added, so the padded-image SWAR
-    /// hamming sum compares directly: `enc_channels × dim`, each ≤ 127.
-    thresholds: Vec<u8>,
-}
-
-impl SwarConv {
-    /// Builds the derived tables, or `None` when the lowering does not
-    /// apply (channels wider than a byte lane, or a window hamming sum
-    /// that could overflow the `≤ 127` lane budget). Callers skip the
-    /// call entirely when BiConv is off.
-    fn build(
-        d_h: usize,
-        k: usize,
-        width: usize,
-        length: usize,
-        enc_channels: usize,
-        kernel: &[u64],
-        conv_thresholds: &[u32],
-    ) -> Option<Self> {
-        if d_h > 8 || k * k * d_h > 127 {
-            return None;
-        }
-        let kernel_rep = kernel.iter().map(|&t| t * 0x0101_0101_0101_0101).collect();
-        let pad = k / 2;
-        let n = width * length;
-        let mut thresholds = vec![0u8; enc_channels * n];
-        for o in 0..enc_channels {
-            let taps = &kernel[o * k * k..(o + 1) * k * k];
-            let thr = &mut thresholds[o * n..(o + 1) * n];
-            for y in 0..width {
-                let ky_lo = pad.saturating_sub(y);
-                let ky_hi = k.min(width + pad - y);
-                for x in 0..length {
-                    let kx_lo = pad.saturating_sub(x);
-                    let kx_hi = k.min(length + pad - x);
-                    // a zero pad byte xors to popcount(tap) per oob tap
-                    let mut oob = 0u32;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let inside =
-                                (ky_lo..ky_hi).contains(&ky) && (kx_lo..kx_hi).contains(&kx);
-                            if !inside {
-                                oob += taps[ky * k + kx].count_ones();
-                            }
-                        }
-                    }
-                    let pos = y * length + x;
-                    // compile-produced thresholds always fit (≤ k²·D_H ≤
-                    // 127); a checksum-valid but hand-crafted artifact
-                    // with larger values degrades to the scalar path
-                    thr[pos] = match u8::try_from(conv_thresholds[pos].saturating_add(oob)) {
-                        Ok(t) if t <= 127 => t,
-                        _ => return None,
-                    };
-                }
-            }
-        }
-        Some(Self {
-            kernel_rep,
-            thresholds,
-        })
-    }
-}
-
-/// Per-byte population counts of a `u64` (carry-free SWAR reduction):
-/// byte lane `j` of the result holds `popcount(byte j of x)`.
-#[inline]
-fn popcount_bytes(mut x: u64) -> u64 {
-    x -= (x >> 1) & 0x5555_5555_5555_5555;
-    x = (x & 0x3333_3333_3333_3333) + ((x >> 2) & 0x3333_3333_3333_3333);
-    (x + (x >> 4)) & 0x0F0F_0F0F_0F0F_0F0F
 }
 
 /// One packed inference with the evidence the bit-identity gate compares:
@@ -218,8 +133,7 @@ impl PackedModel {
         let dim = cfg.vsa_dim();
         let words = words_for(dim);
         let d_h = cfg.d_h;
-        let chan_mask = low_mask(d_h);
-        let biconv = cfg.enhancements.biconv;
+        let chan_mask = tail_mask(d_h);
         let enc_channels = cfg.encoding_channels();
         let voters = cfg.effective_voters();
 
@@ -231,11 +145,7 @@ impl PackedModel {
             .collect();
         let d_l = cfg.effective_d_l();
         // channels d_l..d_h of a low-importance feature are constant +1
-        let fill = if d_l == d_h {
-            0
-        } else {
-            low_mask(d_h) & !low_mask(d_l)
-        };
+        let fill = tail_mask(d_h) & !tail_mask(d_l);
         let low_lut: Vec<u64> = (0..cfg.levels)
             .map(|l| model.v_l().row(l).as_words().first().copied().unwrap_or(0) | fill)
             .collect();
@@ -245,11 +155,13 @@ impl PackedModel {
             .iter()
             .map(|&w| w & chan_mask)
             .collect();
-        let conv_thresholds = if biconv {
-            conv_threshold_table(width, length, cfg.d_k, d_h)
-        } else {
-            Vec::new()
-        };
+        let conv = cfg
+            .enhancements
+            .biconv
+            .then(|| bit_conv(width, length, d_h, cfg.d_k, &kernel));
+        let conv_thresholds = conv
+            .as_ref()
+            .map_or_else(Vec::new, |c| conv_threshold_table(c.geometry()));
 
         let mut f_neg = Vec::with_capacity(enc_channels * words);
         for o in 0..enc_channels {
@@ -264,26 +176,15 @@ impl PackedModel {
         }
 
         // counter planes sized to hold counts up to enc_channels; every
-        // configuration that passed the builder (including one decoded by
-        // `load_model`) stays within MAX_ENCODING_CHANNELS
+        // `UniVsaModel` holds a config that passed `ConfigBuilder::build`
+        // (`load_model` runs a decoded one through it via
+        // `UniVsaConfig::validated`), whose "encoding channels exceed the
+        // limit" check keeps enc_channels ≤ MAX_ENCODING_CHANNELS, so this
+        // assert cannot fire
         let planes = (usize::BITS - enc_channels.leading_zeros()) as usize;
         assert!(planes <= MAX_PLANES, "encoding channel count out of range");
         // majority: ones ≥ ⌈enc/2⌉ ⟺ carry out of ones + (2^planes − ⌈enc/2⌉)
         let majority_add = (1u64 << planes) - (enc_channels as u64).div_ceil(2);
-
-        let swar = biconv
-            .then(|| {
-                SwarConv::build(
-                    d_h,
-                    cfg.d_k,
-                    width,
-                    length,
-                    enc_channels,
-                    &kernel,
-                    &conv_thresholds,
-                )
-            })
-            .flatten();
 
         Self {
             width,
@@ -294,19 +195,18 @@ impl PackedModel {
             levels: cfg.levels,
             voters,
             enc_channels,
-            biconv,
             dim,
             words,
             use_high,
             high_lut,
             low_lut,
             kernel,
+            conv,
             conv_thresholds,
             f_neg,
             class_planes,
             planes,
             majority_add,
-            swar,
             tier,
         }
     }
@@ -383,10 +283,9 @@ impl PackedModel {
 
         let vm = self.build_value_map(values)?;
         stage_mark(&mut timer, &mut mem, "dvp");
-        let conv = if self.biconv {
-            self.conv(&vm)
-        } else {
-            self.channels_as_planes(&vm)
+        let conv = match &self.conv {
+            Some(conv) => conv.sign_planes_with(self.tier, &vm, &self.conv_thresholds),
+            None => self.channels_as_planes(&vm),
         };
         stage_mark(&mut timer, &mut mem, "biconv");
         let encoded = self.encode(&conv);
@@ -483,7 +382,9 @@ impl PackedModel {
         Ok(confusion)
     }
 
-    /// Stage 1: one LUT read per grid position (DVP lowered).
+    /// Stage 1: one LUT read per grid position (DVP lowered), written
+    /// straight into the BiConv's zero-padded bit image — or, with BiConv
+    /// off, one channel word per position.
     fn build_value_map(&self, values: &[u8]) -> Result<Vec<u64>, UniVsaError> {
         let n = self.width * self.length;
         if values.len() != n {
@@ -494,128 +395,34 @@ impl PackedModel {
                 values.len()
             )));
         }
-        let mut words = Vec::with_capacity(n);
-        for (i, &level) in values.iter().enumerate() {
-            let level = level as usize;
-            if level >= self.levels {
-                let table = if self.use_high[i] { "VB_H" } else { "VB_L" };
-                return Err(UniVsaError::Input(format!(
-                    "level {level} out of range for {table} table of {} rows",
-                    self.levels
-                )));
-            }
-            words.push(if self.use_high[i] {
-                self.high_lut[level]
-            } else {
-                self.low_lut[level]
-            });
-        }
-        Ok(words)
-    }
-
-    /// Stage 2 (BiConv): packed conv planes, `enc_channels × words`,
-    /// through the byte-lane SWAR lowering when it applies and the
-    /// word-per-position scalar loop otherwise. Both are exact integer
-    /// arithmetic — bit-identical by construction.
-    fn conv(&self, vm: &[u64]) -> Vec<u64> {
-        match &self.swar {
-            Some(sw) => self.conv_swar(vm, sw),
-            None => self.conv_scalar(vm),
-        }
-    }
-
-    /// Byte-lane SWAR conv: the value map becomes a zero-padded byte
-    /// image (one `D_H`-bit byte per grid position), each unaligned
-    /// 8-byte load covers 8 output positions at once, and one SWAR byte
-    /// popcount per tap accumulates all 8 hamming sums carry-free. The
-    /// pad ring's spurious `popcount(tap)` contributions are pre-added
-    /// into `sw.thresholds`, so no border special-casing remains.
-    fn conv_swar(&self, vm: &[u64], sw: &SwarConv) -> Vec<u64> {
-        let (w, l, k) = (self.width, self.length, self.d_k);
-        let pad = k / 2;
-        let lp = l + 2 * pad;
-        // padded byte image (+8 slack so every lane-group load is in
-        // bounds; garbage lanes past the row end are never consumed)
-        let mut img = vec![0u8; (w + 2 * pad) * lp + 8];
-        for y in 0..w {
-            let base = (y + pad) * lp + pad;
-            for x in 0..l {
-                img[base + x] = vm[y * l + x] as u8;
-            }
-        }
-        let groups = l.div_ceil(8);
-        let mut out = vec![0u64; self.enc_channels * self.words];
-        for o in 0..self.enc_channels {
-            let rep = &sw.kernel_rep[o * k * k..(o + 1) * k * k];
-            let thr = &sw.thresholds[o * self.dim..(o + 1) * self.dim];
-            let plane = &mut out[o * self.words..(o + 1) * self.words];
-            for y in 0..w {
-                for g in 0..groups {
-                    let x0 = g * 8;
-                    let mut acc = 0u64;
-                    for ky in 0..k {
-                        let row = (y + ky) * lp + x0;
-                        for kx in 0..k {
-                            let src = &img[row + kx..row + kx + 8];
-                            let lanes8 = u64::from_le_bytes(src.try_into().expect("8 bytes"));
-                            acc += popcount_bytes(lanes8 ^ rep[ky * k + kx]);
-                        }
-                    }
-                    let lanes = (l - x0).min(8);
-                    let hams = acc.to_le_bytes();
-                    let mut bits = 0u64;
-                    for (j, &ham) in hams.iter().enumerate().take(lanes) {
-                        bits |= u64::from(ham <= thr[y * l + x0 + j]) << j;
-                    }
-                    let pos = y * l + x0;
-                    let (wi, sh) = (pos / BITS_PER_WORD, pos % BITS_PER_WORD);
-                    plane[wi] |= bits << sh;
-                    if sh + lanes > BITS_PER_WORD {
-                        // group straddles a word boundary (sh > 56 here,
-                        // so the shift below is in range)
-                        plane[wi + 1] |= bits >> (BITS_PER_WORD - sh);
-                    }
+        let geometry = self.conv.as_ref().map(BitConv::geometry);
+        let mut out = match geometry {
+            Some(g) => vec![0u64; g.image_words()],
+            None => Vec::with_capacity(n),
+        };
+        for (y, row) in values.chunks_exact(self.length).enumerate() {
+            for (x, &level) in row.iter().enumerate() {
+                let i = y * self.length + x;
+                let level = level as usize;
+                if level >= self.levels {
+                    let table = if self.use_high[i] { "VB_H" } else { "VB_L" };
+                    return Err(UniVsaError::Input(format!(
+                        "level {level} out of range for {table} table of {} rows",
+                        self.levels
+                    )));
+                }
+                let word = if self.use_high[i] {
+                    self.high_lut[level]
+                } else {
+                    self.low_lut[level]
+                };
+                match geometry {
+                    Some(g) => g.put(&mut out, y, x, 0, word),
+                    None => out.push(word),
                 }
             }
         }
-        out
-    }
-
-    /// Scalar conv fallback (one word per position). Per tap the
-    /// sign-test accumulation is a bare `xor` + `count_ones` against the
-    /// pre-masked kernel word; the per-position threshold table absorbs
-    /// the zero-padded border tap counts.
-    fn conv_scalar(&self, vm: &[u64]) -> Vec<u64> {
-        let (w, l, k) = (self.width, self.length, self.d_k);
-        let pad = k / 2;
-        let mut out = vec![0u64; self.enc_channels * self.words];
-        for o in 0..self.enc_channels {
-            let taps = &self.kernel[o * k * k..(o + 1) * k * k];
-            let plane = &mut out[o * self.words..(o + 1) * self.words];
-            for y in 0..w {
-                // kernel rows whose source row y + ky − pad is in bounds
-                let ky_lo = pad.saturating_sub(y);
-                let ky_hi = k.min(w + pad - y);
-                for x in 0..l {
-                    let kx_lo = pad.saturating_sub(x);
-                    let kx_hi = k.min(l + pad - x);
-                    let mut ham = 0u64;
-                    for ky in ky_lo..ky_hi {
-                        let row = (y + ky - pad) * l + x;
-                        let tap_row = &taps[ky * k..ky * k + k];
-                        for (kx, &tap) in tap_row.iter().enumerate().take(kx_hi).skip(kx_lo) {
-                            let pos = row + kx - pad;
-                            ham += u64::from((vm[pos] ^ tap).count_ones());
-                        }
-                    }
-                    let pos = y * l + x;
-                    if ham <= u64::from(self.conv_thresholds[pos]) {
-                        plane[pos / BITS_PER_WORD] |= 1u64 << (pos % BITS_PER_WORD);
-                    }
-                }
-            }
-        }
-        out
+        Ok(out)
     }
 
     /// Stage 2 (BiConv off): transpose the value map's channel words into
@@ -669,30 +476,30 @@ impl PackedModel {
     }
 }
 
+/// The BiConv as a binary GEMM: tap word `o·D_K² + t` (masked to `D_H`
+/// bits) becomes bits `t·D_H ..` of output channel `o`'s kernel row.
+fn bit_conv(width: usize, length: usize, d_h: usize, d_k: usize, kernel: &[u64]) -> BitConv {
+    let geometry = ConvGeometry::new(width, length, d_h, d_k);
+    let nw = geometry.patch_words();
+    let taps = d_k * d_k;
+    let mut rows = vec![0u64; kernel.len() / taps * nw];
+    for (row, words) in rows.chunks_exact_mut(nw).zip(kernel.chunks_exact(taps)) {
+        for (t, &word) in words.iter().enumerate() {
+            geometry.put_tap(row, t, 0, word);
+        }
+    }
+    BitConv::new(geometry, rows)
+}
+
 /// Per-position hamming thresholds `⌊taps·D_H/2⌋` for the zero-padded
 /// sign test: `acc ≥ 0 ⟺ Σ ham ≤ ⌊taps·D_H/2⌋` with `taps` the number of
 /// in-bounds kernel taps at that grid position.
-fn conv_threshold_table(w: usize, l: usize, k: usize, d_h: usize) -> Vec<u32> {
-    let pad = k / 2;
-    let span = |i: usize, n: usize| -> usize { k.min(n + pad - i) - pad.saturating_sub(i) };
-    let mut out = Vec::with_capacity(w * l);
-    for y in 0..w {
-        let ty = span(y, w);
-        for x in 0..l {
-            let taps = ty * span(x, l);
-            out.push((taps * d_h / 2) as u32);
-        }
-    }
-    out
-}
-
-/// Mask with the low `bits` bits set (`bits ≤ 64`).
-fn low_mask(bits: usize) -> u64 {
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
+fn conv_threshold_table(geometry: &ConvGeometry) -> Vec<u32> {
+    geometry
+        .in_bounds_bits()
+        .into_iter()
+        .map(|bits| u32::try_from(bits / 2).unwrap_or(u32::MAX))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -732,7 +539,7 @@ pub fn save_packed(packed: &PackedModel) -> Result<Vec<u8>, UniVsaError> {
     ] {
         w.len(v, what)?;
     }
-    w.u8(u8::from(packed.biconv));
+    w.u8(u8::from(packed.conv.is_some()));
     w.u64(packed.majority_add);
     w.len(packed.use_high.len(), "mask length")?;
     w.bitmask(&packed.use_high);
@@ -824,7 +631,8 @@ pub fn load_packed(bytes: &[u8]) -> Result<PackedModel, UniVsaError> {
         && Some(class_planes.len()) == times(voters, times(classes, words))
         && if biconv {
             Some(kernel.len()) == times(enc_channels, d_k.checked_mul(d_k))
-                && conv_thresholds == conv_threshold_table(width, length, d_k, d_h)
+                && conv_thresholds
+                    == conv_threshold_table(&ConvGeometry::new(width, length, d_h, d_k))
         } else {
             enc_channels == d_h && kernel.is_empty() && conv_thresholds.is_empty()
         };
@@ -833,23 +641,23 @@ pub fn load_packed(bytes: &[u8]) -> Result<PackedModel, UniVsaError> {
             "packed artifact sections are mutually inconsistent".into(),
         ));
     }
+    // compile only writes channel words of D_H bits; a higher bit would
+    // spill into the next position's or tap's channels of the bit image
+    let chan_mask = tail_mask(d_h);
+    if high_lut
+        .iter()
+        .chain(&low_lut)
+        .chain(&kernel)
+        .any(|&w| w & !chan_mask != 0)
+    {
+        return Err(UniVsaError::Serialize(format!(
+            "packed artifact has LUT or kernel words with bits above D_H = {d_h}"
+        )));
+    }
     // the checks above rule out overflow
     let dim = width * length;
     let words = words_for(dim);
-
-    let swar = biconv
-        .then(|| {
-            SwarConv::build(
-                d_h,
-                d_k,
-                width,
-                length,
-                enc_channels,
-                &kernel,
-                &conv_thresholds,
-            )
-        })
-        .flatten();
+    let conv = biconv.then(|| bit_conv(width, length, d_h, d_k, &kernel));
     Ok(PackedModel {
         width,
         length,
@@ -859,19 +667,18 @@ pub fn load_packed(bytes: &[u8]) -> Result<PackedModel, UniVsaError> {
         levels,
         voters,
         enc_channels,
-        biconv,
         dim,
         words,
         use_high,
         high_lut,
         low_lut,
         kernel,
+        conv,
         conv_thresholds,
         f_neg,
         class_planes,
         planes,
         majority_add,
-        swar,
         tier: kernels::active(),
     })
 }
@@ -943,9 +750,9 @@ mod tests {
     }
 
     #[test]
-    fn scalar_fallback_matches_reference_when_swar_is_out_of_range() {
-        // D_H > 8 exceeds a byte lane, so the SWAR lowering must bow out
-        // and the word-per-position loop carries the same bit-identity
+    fn multi_word_patches_match_reference() {
+        // D_H = 12 with D_K = 3 gives 108-bit patches: two words per patch
+        // and per kernel row, with taps straddling the word boundary
         use crate::{Mask, UniVsaConfig};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -978,28 +785,36 @@ mod tests {
             .map(|_| BitMatrix::random(cfg.classes, cfg.vsa_dim(), &mut rng))
             .collect();
         let model = crate::UniVsaModel::from_parts(cfg, mask, v_h, v_l, kernel, f, c).unwrap();
-        let packed = PackedModel::compile(&model);
-        assert!(
-            packed.swar.is_none(),
-            "D_H = 12 must not take the SWAR path"
-        );
-        for s in 0..6 {
-            let v = values(s);
-            let t = model.trace(&v).unwrap();
-            let p = packed.infer_detailed(&v).unwrap();
-            assert_eq!((p.label, &p.totals), (t.label, &t.totals), "sample {s}");
+        for tier in KernelTier::ALL {
+            let packed = PackedModel::compile_with_kernel(&model, tier);
+            let conv = packed.conv.as_ref().expect("BiConv is on");
+            assert_eq!(conv.geometry().patch_words(), 2);
+            for s in 0..6 {
+                let v = values(s);
+                let t = model.trace(&v).unwrap();
+                let p = packed.infer_detailed(&v).unwrap();
+                assert_eq!(
+                    (p.label, &p.totals),
+                    (t.label, &t.totals),
+                    "{tier} sample {s}"
+                );
+            }
         }
     }
 
     #[test]
-    fn paper_geometries_take_the_swar_path() {
+    fn paper_geometries_fit_two_patch_words() {
+        // every Table I patch (K²·D_H bits) and kernel row fits two words,
+        // the width DESIGN.md's BiConv cost figures assume
         for task in univsa_data::tasks::all(3) {
             let (d_h, _, d_k, _, _) =
                 univsa_data::tasks::paper_config_tuple(&task.spec.name).unwrap();
+            let geometry = ConvGeometry::new(task.spec.width, task.spec.length, d_h, d_k);
             assert!(
-                d_h <= 8 && d_k * d_k * d_h <= 127,
-                "{} geometry left the SWAR fast path",
-                task.spec.name
+                geometry.patch_words() <= 2,
+                "{} patches take {} words",
+                task.spec.name,
+                geometry.patch_words()
             );
         }
     }

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use univsa::{
     crc32, load_model, load_packed, save_model, save_packed, Enhancements, Mask, PackedModel,
-    UniVsaConfig, UniVsaModel,
+    UniVsaConfig, UniVsaError, UniVsaModel,
 };
 use univsa_bits::BitMatrix;
 use univsa_data::TaskSpec;
@@ -141,6 +141,30 @@ fn container_bytes_match_the_golden_checksums() {
         crc32(&save_packed(&PackedModel::compile(&m)).unwrap()),
         PACKED_CRC
     );
+}
+
+/// A LUT or kernel word with a bit above `D_H` would spill into the next
+/// position's or tap's channels of the engine's bit image; compile never
+/// writes one, so the loader refuses it even under a valid checksum.
+#[test]
+fn packed_artifact_rejects_words_with_bits_above_d_h() {
+    let bytes = save_packed(&PackedModel::compile(&model(4, 6, 3, 2, 2025))).unwrap();
+    let fields = packed_fields(&bytes);
+    // fields: 9 dims, the mask length, then the five slab lengths in
+    // order VB_H LUT, VB_L LUT, kernel, F, C
+    for (slab, name) in [(10, "VB_H LUT"), (11, "VB_L LUT"), (12, "kernel")] {
+        let first_word = fields[slab] + 4;
+        // D_H = 4, so bit 4 is the lowest one above it
+        for bit in [4, 63] {
+            let mut hostile = bytes.clone();
+            hostile[first_word + bit / 8] |= 1 << (bit % 8);
+            let err = load_packed(&reseal(hostile)).unwrap_err();
+            assert!(
+                matches!(err, UniVsaError::Serialize(_)) && err.to_string().contains("above D_H"),
+                "{name} bit {bit}: {err}"
+            );
+        }
+    }
 }
 
 proptest! {

@@ -19,19 +19,24 @@ struct Case {
 }
 
 fn arb_case() -> impl Strategy<Value = Case> {
+    // grids up to 7×9 so a 5×5 window has interior positions and W·L is
+    // not a multiple of 4 or 64; up to 40 channels so channel and
+    // position blocks leave tails; D_H across the whole 1..=64 range so
+    // patches span 1 to 25 words
     (
-        2usize..6,     // width
-        3usize..7,     // length
+        2usize..8,     // width
+        3usize..10,    // length
         2usize..5,     // classes
-        1usize..9,     // d_h
+        1usize..=64,   // d_h
         1usize..5,     // voters
-        2usize..9,     // out_channels
+        2usize..=40,   // out_channels
+        0usize..3,     // d_k pick among {1, 3, 5}
         0u64..1000,    // seed
         any::<bool>(), // dvp
         any::<bool>(), // biconv
         any::<bool>(), // soft voting
     )
-        .prop_flat_map(|(w, l, c, d_h, voters, o, seed, dvp, biconv, sv)| {
+        .prop_flat_map(|(w, l, c, d_h, voters, o, k_pick, seed, dvp, biconv, sv)| {
             let levels = 8usize;
             let spec = TaskSpec {
                 name: "prop".into(),
@@ -40,7 +45,8 @@ fn arb_case() -> impl Strategy<Value = Case> {
                 classes: c,
                 levels,
             };
-            let d_k = if w.min(l) >= 3 { 3 } else { 1 };
+            let kernels: Vec<usize> = [1, 3, 5].into_iter().filter(|&k| k <= w.min(l)).collect();
+            let d_k = kernels[k_pick % kernels.len()];
             let config = UniVsaConfig::for_task(&spec)
                 .d_h(d_h)
                 .d_l(1.max(d_h / 2))

@@ -2,8 +2,9 @@
 //! activations.
 
 use rand::Rng;
+use univsa_bits::kernels::{self, BitConv, ConvGeometry};
 use univsa_tensor::{
-    conv2d, conv2d_input_grad, conv2d_kernel_grad, uniform, Conv2dSpec, ShapeError, Tensor,
+    conv2d_input_grad, conv2d_kernel_grad, uniform, Conv2dSpec, ShapeError, Tensor,
 };
 
 use crate::ste::{sign, ste_grad};
@@ -19,6 +20,13 @@ use crate::Param;
 ///
 /// This layer establishes the *interaction between features* that plain
 /// binary VSA encoding lacks — the paper's central algorithmic enhancement.
+///
+/// The forward runs on bits: its inputs must be exactly `±1` (the
+/// ValueBox `sign` outputs and the `+1` fill), and each pre-activation is
+/// `in_bounds_bits − 2·hamming` from the same binary-GEMM kernel as the
+/// packed engine ([`BitConv`]). That integer is far below `2²⁴`, so it is
+/// exactly the value the float `univsa_tensor::conv2d` computes, in any
+/// summation order.
 #[derive(Debug, Clone)]
 pub struct BinaryConv2d {
     kernel: Param,
@@ -76,14 +84,16 @@ impl BinaryConv2d {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if any sample has the wrong shape.
+    /// Returns [`ShapeError`] if any sample has the wrong shape or an
+    /// element other than `±1`.
     pub fn forward(&mut self, batch: &[Tensor]) -> Result<Vec<Tensor>, ShapeError> {
-        let kb = self.binary_kernel();
+        let conv = self.bit_conv();
+        let in_bounds = conv.geometry().in_bounds_bits();
         let spec = self.spec;
         // per-sample convolutions are independent: fan out to the worker
         // pool; results return in sample order
         let results = univsa_par::map_indexed("train.conv_fwd", batch.len(), |i| {
-            conv2d(&batch[i], &kb, &spec).map(|pre| {
+            preactivation(&conv, &in_bounds, &spec, &batch[i]).map(|pre| {
                 let out = sign(&pre);
                 (pre, out)
             })
@@ -104,9 +114,35 @@ impl BinaryConv2d {
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeError`] if the sample has the wrong shape.
+    /// Returns [`ShapeError`] if the sample has the wrong shape or an
+    /// element other than `±1`.
     pub fn infer(&self, x: &Tensor) -> Result<Tensor, ShapeError> {
-        Ok(sign(&conv2d(x, &self.binary_kernel(), &self.spec)?))
+        let conv = self.bit_conv();
+        let in_bounds = conv.geometry().in_bounds_bits();
+        Ok(sign(&preactivation(&conv, &in_bounds, &self.spec, x)?))
+    }
+
+    /// The binarized kernels `sign(K)` as binary-GEMM kernel rows: bit
+    /// `(ky·k + kx)·C + c` of row `o` is `K[o, c, ky, kx] ≥ 0`, the same
+    /// `sign(0) = +1` test as [`sign`].
+    fn bit_conv(&self) -> BitConv {
+        let s = &self.spec;
+        let geometry = ConvGeometry::new(s.height, s.width, s.in_channels, s.kernel);
+        let nw = geometry.patch_words();
+        let taps = s.kernel * s.kernel;
+        let latent = self.kernel.value().as_slice();
+        let mut rows = vec![0u64; s.out_channels * nw];
+        for (o, row) in rows.chunks_exact_mut(nw).enumerate() {
+            for c in 0..s.in_channels {
+                let base = (o * s.in_channels + c) * taps;
+                for (t, &v) in latent[base..base + taps].iter().enumerate() {
+                    if v >= 0.0 {
+                        geometry.put_tap(row, t, c, 1);
+                    }
+                }
+            }
+        }
+        BitConv::new(geometry, rows)
     }
 
     /// Backward pass: accumulates the latent kernel gradient and returns
@@ -179,6 +215,52 @@ impl BinaryConv2d {
     }
 }
 
+/// Pre-activations of one `(C, H, W)` bipolar sample, `(O, H, W)`:
+/// `in_bounds_bits − 2·hamming` per output channel and position.
+fn preactivation(
+    conv: &BitConv,
+    in_bounds: &[usize],
+    spec: &Conv2dSpec,
+    x: &Tensor,
+) -> Result<Tensor, ShapeError> {
+    let dims = spec.input_dims();
+    if x.shape().dims() != dims {
+        return Err(ShapeError::new(format!(
+            "BinaryConv2d input: expected {dims:?}, got {:?}",
+            x.shape().dims()
+        )));
+    }
+    let geometry = conv.geometry();
+    let (h, w) = (spec.height, spec.width);
+    let mut image = vec![0u64; geometry.image_words()];
+    for (c, plane) in x.as_slice().chunks_exact(h * w).enumerate() {
+        for (y, row) in plane.chunks_exact(w).enumerate() {
+            for (x, &v) in row.iter().enumerate() {
+                if v == 1.0 {
+                    geometry.put(&mut image, y, x, c, 1);
+                } else if v != -1.0 {
+                    return Err(ShapeError::new(format!(
+                        "BinaryConv2d input must be bipolar: element ({c}, {y}, {x}) is {v}"
+                    )));
+                }
+            }
+        }
+    }
+    let mut hams = vec![0u32; spec.out_channels * h * w];
+    conv.hamming_with(kernels::active(), &image, &mut hams);
+    let mut pre = Vec::with_capacity(hams.len());
+    for channel in hams.chunks_exact(h * w) {
+        // |in_bounds − 2·ham| ≤ C·k², an integer f32 holds exactly below 2²⁴
+        pre.extend(
+            channel
+                .iter()
+                .zip(in_bounds)
+                .map(|(&ham, &bits)| (bits as i64 - 2 * i64::from(ham)) as f32),
+        );
+    }
+    Tensor::from_vec(pre, &spec.output_dims())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +329,46 @@ mod tests {
         let x = univsa_tensor::signs(&[2, 4, 5], &mut rng);
         let _ = layer.forward(&[x]).unwrap();
         assert!(layer.backward(&[]).is_err());
+    }
+
+    #[test]
+    fn preactivations_equal_float_conv2d_bit_for_bit() {
+        // the float conv stays the oracle: on bipolar inputs the bit
+        // kernel's integer pre-activations must be its exact f32 values,
+        // -0.0 vs 0.0 included
+        let mut rng = StdRng::seed_from_u64(6);
+        for case in 0..24 {
+            let spec = Conv2dSpec {
+                in_channels: [1, 3, 8, 13, 64][case % 5],
+                out_channels: 1 + case % 7,
+                kernel: [1, 3, 5][case % 3],
+                height: 1 + (case * 5) % 8,
+                width: 2 + (case * 3) % 9,
+            };
+            let mut layer = BinaryConv2d::new(spec, &mut rng).unwrap();
+            let x = univsa_tensor::signs(&spec.input_dims(), &mut rng);
+            let out = layer.forward(std::slice::from_ref(&x)).unwrap();
+            let expect = univsa_tensor::conv2d(&x, &layer.binary_kernel(), &spec).unwrap();
+            let pre = &layer.cached_preact.as_ref().unwrap()[0];
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(pre), bits(&expect), "case {case}: {spec:?}");
+            assert_eq!(out[0], sign(&expect), "case {case}");
+        }
+    }
+
+    #[test]
+    fn non_bipolar_inputs_are_typed_errors() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut layer = BinaryConv2d::new(spec(), &mut rng).unwrap();
+        for bad in [0.0, 0.5, -2.0, f32::NAN] {
+            let mut x = univsa_tensor::signs(&[2, 4, 5], &mut rng);
+            x.as_mut_slice()[13] = bad;
+            let err = layer.forward(std::slice::from_ref(&x)).unwrap_err();
+            assert!(err.to_string().contains("bipolar"), "{bad}: {err}");
+            assert!(layer.infer(&x).is_err(), "{bad}");
+        }
+        // a wrong shape is still a shape error
+        assert!(layer.infer(&Tensor::zeros(&[2, 4, 4])).is_err());
     }
 
     #[test]
