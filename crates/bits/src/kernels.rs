@@ -21,6 +21,7 @@
 //! |------------|---------|------------------------------------------------|-----------------------------------------------|
 //! | `portable` | any     | 4-word chunked `u64::count_ones`, u64 accum    | 64 patches per kernel row, `u64::count_ones`  |
 //! | `popcnt`   | x86_64  | same loop compiled with the POPCNT ISA enabled | same loop compiled with POPCNT                |
+//! | `avx512`   | x86_64  | 512-bit `vpopcntq`, u64 lanes, masked-load tail | 8 patches per `zmm`: `vpternlogq` `(patch ^ broadcast kernel word) & mask`, `vpopcntq` into u64 lanes, `vpcmpuq` ≤ threshold → 8 sign bits |
 //! | `avx2`     | x86_64  | 256-bit vpshufb nibble-LUT + `psadbw` reduce   | 4 patches ^ broadcast kernel word, nibble-LUT byte counts flushed through `psadbw` before 255, `cmpgt` + `movemask` |
 //! | `neon`     | aarch64 | 128-bit `cnt` + horizontal add                 | the portable loop                             |
 //!
@@ -51,6 +52,9 @@ pub enum KernelTier {
     Portable,
     /// x86_64 scalar loop compiled with the POPCNT instruction enabled.
     Popcnt,
+    /// x86_64 AVX-512 `vpopcntq` over 512-bit lanes (AVX512F and
+    /// AVX512_VPOPCNTDQ).
+    Avx512,
     /// x86_64 AVX2 vpshufb nibble-LUT popcount over 256-bit lanes.
     Avx2,
     /// aarch64 NEON `cnt` popcount over 128-bit lanes.
@@ -59,20 +63,23 @@ pub enum KernelTier {
 
 impl KernelTier {
     /// All tiers in preference order, best first.
-    pub const ALL: [KernelTier; 4] = [
+    pub const ALL: [KernelTier; 5] = [
+        KernelTier::Avx512,
         KernelTier::Avx2,
         KernelTier::Neon,
         KernelTier::Popcnt,
         KernelTier::Portable,
     ];
 
-    /// Stable lower-case name (`portable`, `popcnt`, `avx2`, `neon`).
+    /// Stable lower-case name (`portable`, `popcnt`, `avx2`, `avx512`,
+    /// `neon`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             KernelTier::Portable => "portable",
             KernelTier::Popcnt => "popcnt",
             KernelTier::Avx2 => "avx2",
+            KernelTier::Avx512 => "avx512",
             KernelTier::Neon => "neon",
         }
     }
@@ -85,6 +92,7 @@ impl KernelTier {
             "portable" => Some(KernelTier::Portable),
             "popcnt" => Some(KernelTier::Popcnt),
             "avx2" => Some(KernelTier::Avx2),
+            "avx512" => Some(KernelTier::Avx512),
             "neon" => Some(KernelTier::Neon),
             _ => None,
         }
@@ -99,6 +107,8 @@ impl KernelTier {
             KernelTier::Popcnt => std::arch::is_x86_feature_detected!("popcnt"),
             #[cfg(target_arch = "x86_64")]
             KernelTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512 => x86::avx512_detected(),
             #[cfg(target_arch = "aarch64")]
             KernelTier::Neon => true,
             #[allow(unreachable_patterns)]
@@ -173,6 +183,8 @@ pub fn count_ones_with(tier: KernelTier, words: &[u64]) -> u64 {
         KernelTier::Popcnt if tier.is_available() => x86::count_ones_popcnt(words),
         #[cfg(target_arch = "x86_64")]
         KernelTier::Avx2 if tier.is_available() => x86::count_ones_avx2(words),
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx512 if tier.is_available() => x86::count_ones_avx512(words),
         #[cfg(target_arch = "aarch64")]
         KernelTier::Neon => neon::count_ones(words),
         _ => count_ones_portable(words),
@@ -193,6 +205,8 @@ pub fn xor_popcount_with(tier: KernelTier, a: &[u64], b: &[u64]) -> u64 {
         KernelTier::Popcnt if tier.is_available() => x86::xor_popcount_popcnt(a, b),
         #[cfg(target_arch = "x86_64")]
         KernelTier::Avx2 if tier.is_available() => x86::xor_popcount_avx2(a, b),
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx512 if tier.is_available() => x86::xor_popcount_avx512(a, b),
         #[cfg(target_arch = "aarch64")]
         KernelTier::Neon => neon::xor_popcount(a, b),
         _ => xor_popcount_portable(a, b),
@@ -344,6 +358,28 @@ impl ConvGeometry {
         or_bits(image, 1, off, bits & tail_mask(len), len);
     }
 
+    /// ORs one word per position into channels `0..` of grid row `y` of an
+    /// image, positions `0, 1, ..` in order, as [`ConvGeometry::put`] at
+    /// channel 0 would, but with one running bit offset for the row; words
+    /// past the row's last position and bits past the last channel are
+    /// dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row is out of range or `image` is shorter than
+    /// [`ConvGeometry::image_words`].
+    pub fn put_row(&self, image: &mut [u64], y: usize, words: impl IntoIterator<Item = u64>) {
+        assert!(y < self.width, "row out of range");
+        let len = self.channels.min(64);
+        let keep = tail_mask(len);
+        let pad = self.k / 2;
+        let mut off = ((y + pad) * self.padded_length() + pad) * self.channels;
+        for bits in words.into_iter().take(self.length) {
+            or_bits(image, 1, off, bits & keep, len);
+            off += self.channels;
+        }
+    }
+
     /// ORs `bits` into channels `channel..` of window tap `tap` (`ky·k +
     /// kx`) of a kernel row; bits past the last channel are dropped.
     ///
@@ -381,29 +417,75 @@ impl ConvGeometry {
         out
     }
 
+    /// The in-bounds mask tables, `patch_words` words per entry: one
+    /// entry per grid row `y`, setting window row `ky`'s `k·channels` bits
+    /// when grid row `y + ky − pad` exists, then one per grid column `x`,
+    /// setting tap `kx`'s `channels` bits in every window row when grid
+    /// column `x + kx − pad` exists. The mask of the patch at `(y, x)` is
+    /// the AND of row entry `y` and column entry `x`; the tables take
+    /// `(width + length) · patch_words` words.
+    fn mask_tables(&self) -> Vec<u64> {
+        let (k, c, nw) = (self.k, self.channels, self.patch_words());
+        let pad = k / 2;
+        // the window taps t whose grid index i + t − pad is in 0..n: one
+        // run, so each window row's in-bounds taps are contiguous bits
+        let taps = |i: usize, n: usize| pad.saturating_sub(i)..(n + pad - i).min(k);
+        let set = |mask: &mut [u64], bits: std::ops::Range<usize>| {
+            for at in bits.clone().step_by(64) {
+                let len = (bits.end - at).min(64);
+                or_bits(mask, 1, at, tail_mask(len), len);
+            }
+        };
+        let mut tables = vec![0u64; (self.width + self.length) * nw];
+        let (rows, cols) = tables.split_at_mut(self.width * nw);
+        for (y, mask) in rows.chunks_exact_mut(nw).enumerate() {
+            let ky = taps(y, self.width);
+            set(mask, ky.start * k * c..ky.end * k * c);
+        }
+        for (x, mask) in cols.chunks_exact_mut(nw).enumerate() {
+            let kx = taps(x, self.length);
+            for ky in 0..k {
+                set(mask, (ky * k + kx.start) * c..(ky * k + kx.end) * c);
+            }
+        }
+        tables
+    }
+
     /// Fills `scratch` (`2 · patch_words · 64` words) with the patches of
     /// block `b` — grid positions `64·b ..` — and their in-bounds masks,
     /// word `w` of the block's patch `j` at `w·64 + j` in each half, zero
     /// past the block's last position. Every patch is `k` row strips, each
     /// one contiguous `k·channels` bits of the image read at once, so the
     /// loop runs strip by strip over the block's patches with the strip's
-    /// word and shift in the patch fixed. A border patch's mask is built
-    /// from the `ones_row` strips of its in-grid window rows, an interior
-    /// patch's is all ones. Returns the number of positions in the block.
-    fn fill_block(&self, image: &[u64], ones_row: &[u64], b: usize, scratch: &mut [u64]) -> usize {
+    /// word and shift in the patch fixed. Each mask is the AND of its row's
+    /// and its column's entry in `mask_tables` (see
+    /// [`ConvGeometry::mask_tables`]). Returns the number of positions in
+    /// the block.
+    fn fill_block(
+        &self,
+        image: &[u64],
+        mask_tables: &[u64],
+        b: usize,
+        scratch: &mut [u64],
+    ) -> usize {
         let (k, c, lp) = (self.k, self.channels, self.padded_length());
-        let pad = k / 2;
         let strip = k * c;
         let nw = self.patch_words();
+        let (row_masks, col_masks) = mask_tables.split_at(self.width * nw);
         let first = b * BLOCK;
         let lanes = (self.positions() - first).min(BLOCK);
         scratch.fill(0);
         let (patches, masks) = scratch.split_at_mut(nw * BLOCK);
-        // image bit offset of each patch's first strip
+        // image bit offset of each patch's first strip, and its mask
         let mut base = [0usize; BLOCK];
         let (mut y, mut x) = (first / self.length, first % self.length);
-        for at in &mut base[..lanes] {
+        for (j, at) in base[..lanes].iter_mut().enumerate() {
             *at = (y * lp + x) * c;
+            let rows = &row_masks[y * nw..(y + 1) * nw];
+            let cols = &col_masks[x * nw..(x + 1) * nw];
+            for (w, (&r, &m)) in rows.iter().zip(cols).enumerate() {
+                masks[w * BLOCK + j] = r & m;
+            }
             x += 1;
             if x == self.length {
                 (y, x) = (y + 1, 0);
@@ -431,25 +513,6 @@ impl ConvGeometry {
                 }
             }
         }
-        for j in 0..lanes {
-            let (y, x) = ((first + j) / self.length, (first + j) % self.length);
-            // window rows ky whose source row y + ky − pad is in the grid
-            let rows = pad.saturating_sub(y)..(self.width + pad - y).min(k);
-            if rows.len() == k && x >= pad && x + pad < self.length {
-                for w in 0..nw {
-                    masks[w * BLOCK + j] = u64::MAX;
-                }
-                masks[(nw - 1) * BLOCK + j] = tail_mask(k * strip);
-                continue;
-            }
-            for ky in rows {
-                for done in (0..strip).step_by(64) {
-                    let len = (strip - done).min(64);
-                    let valid = read_bits(ones_row, x * c + done) & tail_mask(len);
-                    or_bits(&mut masks[j..], BLOCK, ky * strip + done, valid, len);
-                }
-            }
-        }
         lanes
     }
 }
@@ -463,9 +526,9 @@ pub struct BitConv {
     geometry: ConvGeometry,
     /// Kernel rows, `out_channels × patch_words`.
     rows: Vec<u64>,
-    /// One image row with every in-grid channel bit set: its strips are
-    /// the in-bounds column masks of the patches.
-    ones_row: Vec<u64>,
+    /// In-bounds masks per grid row, then per grid column, `(width +
+    /// length) × patch_words` ([`ConvGeometry::mask_tables`]).
+    masks: Vec<u64>,
 }
 
 impl BitConv {
@@ -482,18 +545,10 @@ impl BitConv {
             !rows.is_empty() && rows.len().is_multiple_of(nw),
             "kernel rows must be whole {nw}-word rows"
         );
-        // one padded image row (plus the slack word) with the in-grid
-        // positions' bits set
-        let c = geometry.channels;
-        let pad = geometry.k / 2;
-        let mut ones_row = vec![0u64; crate::word::words_for(geometry.padded_length() * c) + 1];
-        for bit in pad * c..(pad + geometry.length) * c {
-            ones_row[bit / 64] |= 1 << (bit % 64);
-        }
         Self {
             geometry,
             rows,
-            ones_row,
+            masks: geometry.mask_tables(),
         }
     }
 
@@ -575,7 +630,7 @@ impl BitConv {
         let nw = g.patch_words();
         let mut scratch = vec![0u64; 2 * nw * BLOCK];
         for b in 0..crate::word::words_for(g.positions()) {
-            let lanes = g.fill_block(image, &self.ones_row, b, &mut scratch);
+            let lanes = g.fill_block(image, &self.masks, b, &mut scratch);
             let (patches, masks) = scratch.split_at(nw * BLOCK);
             run(
                 b,
@@ -611,7 +666,7 @@ fn or_bits(dst: &mut [u64], stride: usize, off: usize, bits: u64, len: usize) {
 }
 
 /// The 64 bits of `src` from bit `off` on (`src` must hold the word after
-/// `off`'s: images and `ones_row` keep a slack word for that).
+/// `off`'s: images keep a slack word for that).
 #[inline(always)]
 fn read_bits(src: &[u64], off: usize) -> u64 {
     let (w, sh) = (off / 64, off % 64);
@@ -654,6 +709,8 @@ fn run_block(tier: KernelTier, block: &Block<'_>, rows: &[u64], output: Output<'
         KernelTier::Popcnt if tier.is_available() => x86::block_popcnt(block, rows, output),
         #[cfg(target_arch = "x86_64")]
         KernelTier::Avx2 if tier.is_available() => x86::block_avx2(block, rows, output),
+        #[cfg(target_arch = "x86_64")]
+        KernelTier::Avx512 if tier.is_available() => x86::block_avx512(block, rows, output),
         _ => block_portable(block, rows, output),
     }
 }
@@ -693,15 +750,19 @@ mod x86 {
     //! `target_feature` attribute and is only reached through the dispatch
     //! functions above after `is_x86_feature_detected!` confirms the
     //! feature; all memory access is unaligned loads from in-bounds slice
-    //! chunks.
+    //! chunks, or AVX-512 masked loads and stores whose mask selects only
+    //! in-bounds elements.
 
     use super::{tail_mask, Block, Output, BLOCK};
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_castsi256_pd,
+        __m256i, __m512i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_castsi256_pd,
         _mm256_cmpgt_epi64, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
         _mm256_sad_epu8, _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setr_epi8,
         _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi32, _mm256_storeu_si256,
-        _mm256_xor_si256,
+        _mm256_xor_si256, _mm512_add_epi64, _mm512_loadu_epi64, _mm512_mask_cmple_epu64_mask,
+        _mm512_mask_cvtepi64_storeu_epi32, _mm512_maskz_loadu_epi64, _mm512_popcnt_epi64,
+        _mm512_reduce_add_epi64, _mm512_set1_epi64, _mm512_setzero_si512,
+        _mm512_ternarylogic_epi64, _mm512_xor_si512,
     };
 
     /// Scalar loop with the POPCNT ISA enabled so `count_ones` compiles to
@@ -757,6 +818,53 @@ mod x86 {
         );
         // SAFETY: AVX2 availability and the block shape verified just above.
         unsafe { block_avx2_impl(block, rows, output) }
+    }
+
+    /// Whether AVX512F and AVX512_VPOPCNTDQ are both available.
+    pub fn avx512_detected() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+    }
+
+    /// Safe AVX-512 entry point; probes the features itself.
+    pub fn count_ones_avx512(words: &[u64]) -> u64 {
+        assert!(avx512_detected());
+        // SAFETY: AVX512F and AVX512_VPOPCNTDQ availability verified just
+        // above.
+        unsafe { count_ones_avx512_impl(words) }
+    }
+
+    /// Safe AVX-512 entry point; probes the features and the equal
+    /// lengths the masked tail loads rely on.
+    pub fn xor_popcount_avx512(a: &[u64], b: &[u64]) -> u64 {
+        assert!(avx512_detected());
+        assert_eq!(a.len(), b.len(), "xor_popcount operands must match");
+        // SAFETY: AVX512F and AVX512_VPOPCNTDQ availability and equal
+        // lengths verified just above.
+        unsafe { xor_popcount_avx512_impl(a, b) }
+    }
+
+    /// Safe AVX-512 entry point; probes the features and the block shape
+    /// `group_hams512` reads within, as [`block_avx2`] does.
+    pub fn block_avx512(block: &Block<'_>, rows: &[u64], output: Output<'_>) {
+        assert!(avx512_detected());
+        assert!(
+            block.words > 0
+                && block.patches.len() == block.words * BLOCK
+                && block.masks.len() == block.words * BLOCK
+                && block.lanes <= BLOCK
+                && rows.len().is_multiple_of(block.words),
+            "malformed conv block"
+        );
+        // SAFETY: AVX512F and AVX512_VPOPCNTDQ availability and the block
+        // shape verified just above; `N` is 0 or `block.words`.
+        unsafe {
+            match block.words {
+                1 => block_avx512_impl::<1>(block, rows, output),
+                2 => block_avx512_impl::<2>(block, rows, output),
+                _ => block_avx512_impl::<0>(block, rows, output),
+            }
+        }
     }
 
     #[target_feature(enable = "popcnt")]
@@ -925,6 +1033,167 @@ mod x86 {
                 .map(|(x, y)| u64::from((x ^ y).count_ones()))
                 .sum::<u64>()
     }
+
+    /// In-bounds Hamming distances of patches `j..j + 8` of a block to one
+    /// kernel row, as eight u64 lanes: one `vpternlogq` computes `(patch ^
+    /// broadcast kernel word) & mask` and `vpopcntq` counts it, so the
+    /// lanes need no flush.
+    ///
+    /// # Safety
+    ///
+    /// AVX512F and AVX512_VPOPCNTDQ must be available, `row.len() ==
+    /// block.words`, both block halves must hold `block.words · 64` words,
+    /// and `j + 8 ≤ 64`.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    #[inline]
+    unsafe fn group_hams512(block: &Block<'_>, row: &[u64], j: usize) -> __m512i {
+        let (patches, masks) = (block.patches.as_ptr(), block.masks.as_ptr());
+        let mut acc = _mm512_setzero_si512();
+        for (w, &k) in row.iter().enumerate() {
+            let at = w * BLOCK + j;
+            // imm 0x28 = (A ^ B) & C over the truth-table inputs A, B, C
+            let x = _mm512_ternarylogic_epi64::<0x28>(
+                _mm512_loadu_epi64(patches.add(at).cast()),
+                _mm512_set1_epi64(k as i64),
+                _mm512_loadu_epi64(masks.add(at).cast()),
+            );
+            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
+        }
+        acc
+    }
+
+    /// `Sign` runs the block group by group: each group of 8 patches is
+    /// scored against every kernel row before the next. With `N > 0` (`N
+    /// == block.words`), the group's patch and mask words are loaded once
+    /// and stay in registers across the rows; `N = 0` reloads them per row
+    /// through [`group_hams512`]. `Counts` runs row by row: one row's
+    /// counts are contiguous, while consecutive rows' lie a whole `stride`
+    /// apart, often in one cache set.
+    ///
+    /// # Safety
+    ///
+    /// As [`group_hams512`], for every row of `rows`, and `N` is `0` or
+    /// `block.words`.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn block_avx512_impl<const N: usize>(
+        block: &Block<'_>,
+        rows: &[u64],
+        output: Output<'_>,
+    ) {
+        let rows = rows.chunks_exact(block.words);
+        match output {
+            Output::Sign {
+                thresholds,
+                planes,
+                stride,
+            } => {
+                // thresholds widened to the u64 lanes once per block
+                let mut thr = [0u64; BLOCK];
+                for (t, &v) in thr.iter_mut().zip(thresholds) {
+                    *t = u64::from(v);
+                }
+                for o in 0..rows.len() {
+                    planes[o * stride] = 0;
+                }
+                let (patches, masks) = (block.patches.as_ptr(), block.masks.as_ptr());
+                for j in (0..block.lanes).step_by(8) {
+                    let mut p = [_mm512_setzero_si512(); N];
+                    let mut m = [_mm512_setzero_si512(); N];
+                    for w in 0..N {
+                        p[w] = _mm512_loadu_epi64(patches.add(w * BLOCK + j).cast());
+                        m[w] = _mm512_loadu_epi64(masks.add(w * BLOCK + j).cast());
+                    }
+                    // only the group's live lanes set sign bits
+                    let live = tail_mask(block.lanes - j) as u8;
+                    let t = _mm512_loadu_epi64(thr.as_ptr().add(j).cast());
+                    for (o, row) in rows.clone().enumerate() {
+                        let hams = if N == 0 {
+                            group_hams512(block, row, j)
+                        } else {
+                            let mut acc = _mm512_setzero_si512();
+                            for w in 0..N {
+                                // imm 0x28 = (A ^ B) & C, as in group_hams512
+                                let x = _mm512_ternarylogic_epi64::<0x28>(
+                                    p[w],
+                                    _mm512_set1_epi64(row[w] as i64),
+                                    m[w],
+                                );
+                                acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
+                            }
+                            acc
+                        };
+                        let bits = _mm512_mask_cmple_epu64_mask(live, hams, t);
+                        planes[o * stride] |= u64::from(bits) << j;
+                    }
+                }
+            }
+            Output::Counts { hams, stride } => {
+                for (o, row) in rows.enumerate() {
+                    let out = &mut hams[o * stride..o * stride + block.lanes];
+                    for j in (0..block.lanes).step_by(8) {
+                        // the masked store writes only the group's live lanes
+                        let live = tail_mask(block.lanes - j) as u8;
+                        _mm512_mask_cvtepi64_storeu_epi32(
+                            out.as_mut_ptr().add(j).cast(),
+                            live,
+                            group_hams512(block, row, j),
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// # Safety
+    ///
+    /// AVX512F and AVX512_VPOPCNTDQ must be available.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn count_ones_avx512_impl(words: &[u64]) -> u64 {
+        let mut chunks = words.chunks_exact(8);
+        let mut acc = _mm512_setzero_si512();
+        for c in &mut chunks {
+            acc = _mm512_add_epi64(
+                acc,
+                _mm512_popcnt_epi64(_mm512_loadu_epi64(c.as_ptr().cast())),
+            );
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            // the masked load reads only the tail's words
+            let v = _mm512_maskz_loadu_epi64(tail_mask(tail.len()) as u8, tail.as_ptr().cast());
+            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
+        }
+        _mm512_reduce_add_epi64(acc) as u64
+    }
+
+    /// # Safety
+    ///
+    /// AVX512F and AVX512_VPOPCNTDQ must be available and `a.len() ==
+    /// b.len()`.
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    unsafe fn xor_popcount_avx512_impl(a: &[u64], b: &[u64]) -> u64 {
+        let mut ac = a.chunks_exact(8);
+        let mut bc = b.chunks_exact(8);
+        let mut acc = _mm512_setzero_si512();
+        for (x, y) in (&mut ac).zip(&mut bc) {
+            let v = _mm512_xor_si512(
+                _mm512_loadu_epi64(x.as_ptr().cast()),
+                _mm512_loadu_epi64(y.as_ptr().cast()),
+            );
+            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
+        }
+        let (x, y) = (ac.remainder(), bc.remainder());
+        if !x.is_empty() {
+            // the masked loads read only the tails' words
+            let live = tail_mask(x.len()) as u8;
+            let v = _mm512_xor_si512(
+                _mm512_maskz_loadu_epi64(live, x.as_ptr().cast()),
+                _mm512_maskz_loadu_epi64(live, y.as_ptr().cast()),
+            );
+            acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
+        }
+        _mm512_reduce_add_epi64(acc) as u64
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -1061,6 +1330,9 @@ mod tests {
             assert_eq!(KernelTier::parse(tier.name()), Some(tier));
         }
         assert_eq!(KernelTier::parse("AVX2"), Some(KernelTier::Avx2));
+        assert_eq!(KernelTier::parse(" AVX512 "), Some(KernelTier::Avx512));
+        assert_eq!(KernelTier::Avx512.to_string(), "avx512");
+        assert_eq!(KernelTier::ALL[0], KernelTier::Avx512, "best tier first");
         assert_eq!(KernelTier::parse("bogus"), None);
     }
 
@@ -1069,6 +1341,161 @@ mod tests {
         assert!(KernelTier::Portable.is_available());
         assert!(native_tier().is_available());
         assert!(active().is_available());
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx512 = std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512vpopcntdq");
+            assert_eq!(KernelTier::Avx512.is_available(), avx512);
+            if avx512 {
+                assert_eq!(native_tier(), KernelTier::Avx512);
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        assert!(!KernelTier::Avx512.is_available());
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The six Table I geometries `(W, L, D_H, D_K)`: EEGMMI, BCI-III-V,
+    /// CHB-B, CHB-IB, ISOLET, HAR.
+    const TABLE_I: [(usize, usize, usize, usize); 6] = [
+        (16, 64, 8, 3),
+        (16, 6, 8, 3),
+        (23, 64, 8, 3),
+        (23, 64, 4, 5),
+        (16, 40, 4, 3),
+        (16, 36, 8, 3),
+    ];
+
+    #[test]
+    fn every_tier_matches_portable_on_partial_groups_and_long_patches() {
+        // live lanes that are not a multiple of 8 (a 5×7 grid: 35; BCI-III-V:
+        // 96 = 64 + 32 over two blocks), and 25- and 49-word patches
+        let cases = [
+            (5, 7, 8, 3, 3),
+            (16, 6, 8, 3, 151),
+            (5, 7, 64, 5, 4),
+            (3, 11, 64, 7, 3),
+            (9, 9, 64, 7, 2),
+        ];
+        let mut seed = 23;
+        for (width, length, channels, k, out) in cases {
+            let geometry = ConvGeometry::new(width, length, channels, k);
+            let mut image = vec![0u64; geometry.image_words()];
+            for y in 0..width {
+                for x in 0..length {
+                    for c in (0..channels).step_by(64) {
+                        geometry.put(&mut image, y, x, c, splitmix(&mut seed));
+                    }
+                }
+            }
+            let nw = geometry.patch_words();
+            let mut rows = vec![0u64; out * nw];
+            for row in rows.chunks_exact_mut(nw) {
+                for t in 0..k * k {
+                    for c in (0..channels).step_by(64) {
+                        geometry.put_tap(row, t, c, splitmix(&mut seed));
+                    }
+                }
+            }
+            let conv = BitConv::new(geometry, rows);
+            let n = width * length;
+            let thresholds: Vec<u32> = geometry
+                .in_bounds_bits()
+                .iter()
+                .map(|&b| (splitmix(&mut seed) % (b as u64 + 1)) as u32)
+                .collect();
+            let mut expect = vec![0u32; out * n];
+            conv.hamming_with(KernelTier::Portable, &image, &mut expect);
+            let expect_planes = conv.sign_planes_with(KernelTier::Portable, &image, &thresholds);
+            assert!(expect_planes.iter().any(|&w| w != 0));
+            let shape = format!("{width}×{length}, {nw}-word patches");
+            for tier in KernelTier::ALL.into_iter().filter(|t| t.is_available()) {
+                let mut hams = vec![u32::MAX; out * n];
+                conv.hamming_with(tier, &image, &mut hams);
+                assert_eq!(hams, expect, "counts at tier {tier}, {shape}");
+                let planes = conv.sign_planes_with(tier, &image, &thresholds);
+                assert_eq!(planes, expect_planes, "sign planes at tier {tier}, {shape}");
+            }
+        }
+    }
+
+    /// The in-bounds mask of patch `(y, x)` built the way `BitConv` did
+    /// before the mask tables: the strips of one all-ones padded image row
+    /// at the patch's column, for each window row inside the grid.
+    fn ones_row_mask(g: &ConvGeometry, y: usize, x: usize) -> Vec<u64> {
+        let (k, c) = (g.k, g.channels);
+        let (pad, strip) = (k / 2, k * c);
+        let mut ones_row = vec![0u64; crate::word::words_for(g.padded_length() * c) + 1];
+        for bit in pad * c..(pad + g.length) * c {
+            ones_row[bit / 64] |= 1 << (bit % 64);
+        }
+        let mut mask = vec![0u64; g.patch_words()];
+        for ky in pad.saturating_sub(y)..(g.width + pad - y).min(k) {
+            for done in (0..strip).step_by(64) {
+                let len = (strip - done).min(64);
+                let valid = read_bits(&ones_row, x * c + done) & tail_mask(len);
+                or_bits(&mut mask, 1, ky * strip + done, valid, len);
+            }
+        }
+        mask
+    }
+
+    #[test]
+    fn mask_tables_match_the_ones_row_masks_and_in_bounds_bits() {
+        // Table I, then grids narrower or shorter than the window
+        let narrow = [
+            (1, 1, 8, 3),
+            (1, 6, 8, 3),
+            (2, 9, 4, 5),
+            (9, 2, 4, 5),
+            (3, 3, 64, 7),
+            (2, 5, 70, 7),
+        ];
+        for (width, length, channels, k) in TABLE_I.into_iter().chain(narrow) {
+            let g = ConvGeometry::new(width, length, channels, k);
+            let nw = g.patch_words();
+            let tables = g.mask_tables();
+            assert_eq!(tables.len(), (width + length) * nw);
+            let (row_masks, col_masks) = tables.split_at(width * nw);
+            let in_bounds = g.in_bounds_bits();
+            for y in 0..width {
+                for x in 0..length {
+                    let mask: Vec<u64> = (0..nw)
+                        .map(|w| row_masks[y * nw + w] & col_masks[x * nw + w])
+                        .collect();
+                    let at = format!("({y}, {x}) of {width}×{length}, C = {channels}, k = {k}");
+                    assert_eq!(mask, ones_row_mask(&g, y, x), "mask at {at}");
+                    let bits: u32 = mask.iter().map(|w| w.count_ones()).sum();
+                    assert_eq!(bits as usize, in_bounds[y * length + x], "bits at {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn put_row_matches_put_per_position() {
+        let mut seed = 5;
+        for (width, length, channels, k) in TABLE_I.into_iter().chain([(3, 4, 70, 5)]) {
+            let g = ConvGeometry::new(width, length, channels, k);
+            let words: Vec<u64> = (0..width * length).map(|_| splitmix(&mut seed)).collect();
+            let mut by_put = vec![0u64; g.image_words()];
+            let mut by_row = vec![0u64; g.image_words()];
+            for (y, row) in words.chunks_exact(length).enumerate() {
+                for (x, &w) in row.iter().enumerate() {
+                    g.put(&mut by_put, y, x, 0, w);
+                }
+                // a word past the row's end is dropped
+                g.put_row(&mut by_row, y, row.iter().copied().chain([u64::MAX]));
+            }
+            assert_eq!(by_row, by_put, "{width}×{length}, C = {channels}");
+        }
     }
 
     #[test]

@@ -199,7 +199,15 @@ proptest! {
             }
         }
 
-        for tier in KernelTier::ALL.into_iter().filter(|t| t.is_available()) {
+        let tiers: Vec<KernelTier> =
+            KernelTier::ALL.into_iter().filter(|t| t.is_available()).collect();
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+        {
+            prop_assert!(tiers.contains(&KernelTier::Avx512), "avx512 must run here");
+        }
+        for tier in tiers {
             let mut hams = vec![0u32; out * n];
             conv.hamming_with(tier, &image, &mut hams);
             prop_assert_eq!(&hams, &naive, "hamming counts at tier {}", tier);

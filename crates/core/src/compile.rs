@@ -383,8 +383,9 @@ impl PackedModel {
     }
 
     /// Stage 1: one LUT read per grid position (DVP lowered), written
-    /// straight into the BiConv's zero-padded bit image — or, with BiConv
-    /// off, one channel word per position.
+    /// straight into the BiConv's zero-padded bit image a grid row at a
+    /// time — or, with BiConv off, one channel word per position. Each
+    /// row's levels are range-checked before it is written.
     fn build_value_map(&self, values: &[u8]) -> Result<Vec<u64>, UniVsaError> {
         let n = self.width * self.length;
         if values.len() != n {
@@ -401,25 +402,23 @@ impl PackedModel {
             None => Vec::with_capacity(n),
         };
         for (y, row) in values.chunks_exact(self.length).enumerate() {
-            for (x, &level) in row.iter().enumerate() {
-                let i = y * self.length + x;
-                let level = level as usize;
-                if level >= self.levels {
-                    let table = if self.use_high[i] { "VB_H" } else { "VB_L" };
+            let use_high = &self.use_high[y * self.length..(y + 1) * self.length];
+            for (&level, &high) in row.iter().zip(use_high) {
+                if level as usize >= self.levels {
+                    let table = if high { "VB_H" } else { "VB_L" };
                     return Err(UniVsaError::Input(format!(
                         "level {level} out of range for {table} table of {} rows",
                         self.levels
                     )));
                 }
-                let word = if self.use_high[i] {
-                    self.high_lut[level]
-                } else {
-                    self.low_lut[level]
-                };
-                match geometry {
-                    Some(g) => g.put(&mut out, y, x, 0, word),
-                    None => out.push(word),
-                }
+            }
+            let words = row.iter().zip(use_high).map(|(&level, &high)| {
+                let lut = if high { &self.high_lut } else { &self.low_lut };
+                lut[level as usize]
+            });
+            match geometry {
+                Some(g) => g.put_row(&mut out, y, words),
+                None => out.extend(words),
             }
         }
         Ok(out)

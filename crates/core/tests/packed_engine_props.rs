@@ -97,13 +97,21 @@ fn random_model(case: &Case) -> UniVsaModel {
         .expect("random parts are consistent")
 }
 
-/// Every tier the host CPU can actually execute (portable always can).
+/// Every tier the host CPU can actually execute (portable always can),
+/// `avx512` included on a host with AVX512F and AVX512_VPOPCNTDQ.
 fn runnable_tiers() -> Vec<KernelTier> {
-    KernelTier::ALL
+    let tiers: Vec<KernelTier> = KernelTier::ALL
         .iter()
         .copied()
         .filter(|t| t.is_available())
-        .collect()
+        .collect();
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+    {
+        assert!(tiers.contains(&KernelTier::Avx512), "avx512 must run here");
+    }
+    tiers
 }
 
 proptest! {

@@ -60,6 +60,12 @@ fn packed_engine_matches_reference_on_all_six_tasks() {
         .filter(|t| t.is_available())
         .collect();
     assert!(tiers.contains(&KernelTier::Portable));
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+    {
+        assert!(tiers.contains(&KernelTier::Avx512), "avx512 must run here");
+    }
 
     for (i, task) in tasks::all(7).iter().enumerate() {
         let model = seeded_model(task, 0xC0DE + i as u64);
