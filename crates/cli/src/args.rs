@@ -1,14 +1,23 @@
-//! Hand-rolled argument parsing (no external dependencies).
+//! Argument parsing (no external dependencies).
+//!
+//! One declarative table, [`SUBCOMMANDS`], is the only description of the
+//! command line: each entry names a subcommand's positionals and flags
+//! (metavar, default or required, switch, value check) and builds its
+//! [`Command`]. The generic parser and the usage synopsis both come from
+//! it, so every subcommand rejects the same malformed input the same way.
 
 use std::error::Error;
+use std::ffi::OsString;
 use std::fmt;
+use std::str::FromStr;
 
 use univsa_bench::diff::Thresholds;
+use univsa_bits::KernelTier;
 
-/// A parsed CLI invocation.
+/// A parsed CLI invocation; its flags and usage are in `SUBCOMMANDS`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `univsa train …`
+    /// `univsa train`
     Train {
         /// Built-in task name (`--task`) — mutually exclusive with `csv`.
         task: Option<String>,
@@ -25,33 +34,33 @@ pub enum Command {
         /// Output model path.
         out: String,
     },
-    /// `univsa infer --model m.uvsa --csv data.csv`
+    /// `univsa infer`
     Infer {
         /// Saved model path (`.uvsa` model or `.uvsap` packed artifact).
         model: String,
         /// CSV dataset to classify.
         csv: String,
     },
-    /// `univsa compile --model m.uvsa --out m.uvsap`
+    /// `univsa compile`
     Compile {
         /// Saved model path.
         model: String,
         /// Output packed-artifact path.
         out: String,
     },
-    /// `univsa info --model m.uvsa`
+    /// `univsa info`
     Info {
         /// Saved model path.
         model: String,
     },
-    /// `univsa rtl --model m.uvsa --out-dir rtl/`
+    /// `univsa rtl`
     Rtl {
         /// Saved model path.
         model: String,
         /// Directory for the Verilog + hex files.
         out_dir: String,
     },
-    /// `univsa robustness --model m.uvsa --csv data.csv [--rates R,…] [--seed S]`
+    /// `univsa robustness`
     Robustness {
         /// Saved model path.
         model: String,
@@ -62,8 +71,7 @@ pub enum Command {
         /// RNG seed for the fault draws.
         seed: u64,
     },
-    /// `univsa profile --task <NAME> [--seed S] [--epochs N] [--samples N]
-    /// [--threads T]`
+    /// `univsa profile`
     Profile {
         /// Built-in task name.
         task: String,
@@ -83,36 +91,13 @@ pub enum Command {
         mem: bool,
         /// Also run a fleet phase: probe jobs sharded over this many
         /// worker processes, their telemetry forwarded and merged into
-        /// the trace/summary (`--workers N`).
+        /// the trace/summary, and a per-slot table printed (`--workers N`).
         workers: Option<usize>,
         /// Serve live metrics over HTTP while the run is in flight
         /// (`--listen HOST:PORT` or `:PORT`).
         listen: Option<String>,
     },
-    /// `univsa fleet-report --task <NAME> [--workers N] [--jobs N]
-    /// [--seed S] [--chaos SPEC]` — run probe jobs through the fleet and
-    /// print the per-slot telemetry table.
-    FleetReport {
-        /// Built-in task name for the probe jobs.
-        task: String,
-        /// Worker-process count (`None` = `UNIVSA_WORKERS` or 2).
-        workers: Option<usize>,
-        /// Probe jobs to dispatch.
-        jobs: usize,
-        /// Seed for the probe genomes.
-        seed: u64,
-        /// Fault-injection spec forwarded to the fleet.
-        chaos: univsa::ChaosSpec,
-    },
-    /// `univsa memsnap <TASK> [--seed S]`
-    Memsnap {
-        /// Built-in task name.
-        task: String,
-        /// RNG seed for the model weights.
-        seed: u64,
-    },
-    /// `univsa search --task <NAME> [--workers N] [--population P]
-    /// [--generations G] [--epochs E] [--seed S] [--chaos SPEC]`
+    /// `univsa search`
     Search {
         /// Built-in task name.
         task: String,
@@ -135,8 +120,7 @@ pub enum Command {
         /// (`--listen HOST:PORT` or `:PORT`).
         listen: Option<String>,
     },
-    /// `univsa seu --task <NAME> [--workers N] [--rate R] [--trials T]
-    /// [--samples N] [--seed S] [--chaos SPEC]`
+    /// `univsa seu`
     Seu {
         /// Built-in task name (paper configuration is used).
         task: String,
@@ -156,35 +140,7 @@ pub enum Command {
         /// (`--listen HOST:PORT` or `:PORT`).
         listen: Option<String>,
     },
-    /// `univsa chaos --task <NAME> [--workers N1,N2,…] [--crash R1,R2,…]
-    /// [--corrupt R] [--hang R] [--population P] [--generations G]
-    /// [--epochs E] [--seed S]` — fleet determinism self-check.
-    Chaos {
-        /// Built-in task name.
-        task: String,
-        /// Worker counts to sweep.
-        workers: Vec<usize>,
-        /// Chaos crash rates to sweep.
-        crash: Vec<f64>,
-        /// Reply-frame corruption rate applied to every chaotic cell.
-        corrupt: f64,
-        /// Task hang rate applied to every chaotic cell.
-        hang: f64,
-        /// Population size for the probe search.
-        population: usize,
-        /// Generations for the probe search.
-        generations: usize,
-        /// Training epochs per fitness evaluation.
-        epochs: usize,
-        /// Seed for data generation, training, evolution, and chaos.
-        seed: u64,
-        /// Score genomes with the training-free surrogate objective.
-        surrogate: bool,
-        /// Serve live metrics over HTTP while the run is in flight
-        /// (`--listen HOST:PORT` or `:PORT`).
-        listen: Option<String>,
-    },
-    /// `univsa bench-diff <old> <new> [--max-train-regress P|none] …`
+    /// `univsa bench-diff`
     BenchDiff {
         /// Baseline report path.
         old: String,
@@ -193,9 +149,7 @@ pub enum Command {
         /// Per-metric regression gates.
         thresholds: Thresholds,
     },
-    /// `univsa quality <TASK> [--seed S] [--epochs N] [--samples N]
-    /// [--drift-at I] [--strength P] [--window W] [--workers N]
-    /// [--listen ADDR]` — stream a seeded prediction sequence through the
+    /// `univsa quality` — stream a seeded prediction sequence through the
     /// task's paper-configured model and report margin/confusion/drift
     /// statistics.
     Quality {
@@ -220,8 +174,8 @@ pub enum Command {
         /// (`--listen HOST:PORT` or `:PORT`).
         listen: Option<String>,
     },
-    /// `univsa top <ADDR> [--interval MS] [--refreshes N]` — live
-    /// terminal view of a running process's metrics endpoint.
+    /// `univsa top` — live terminal view of a running process's metrics
+    /// endpoint.
     Top {
         /// Metrics endpoint address (`HOST:PORT`, or `:PORT` for
         /// loopback) of a process started with `--listen` or
@@ -250,155 +204,362 @@ impl fmt::Display for ParseArgsError {
 
 impl Error for ParseArgsError {}
 
-/// Usage text shown by `help` and on errors.
-pub const USAGE: &str = "\
-univsa — binary vector symbolic architecture toolkit
+/// How a flag appears on the command line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Arity {
+    /// `--name VALUE`, must be given.
+    Required,
+    /// `--name VALUE`, this value when absent.
+    Default(&'static str),
+    /// `--name VALUE`, `None` when absent.
+    Optional,
+    /// `--name` alone: a boolean switch.
+    Switch,
+}
 
-USAGE:
-  univsa train --task <NAME> --config DH,DL,DK,O,THETA --out MODEL
-               [--epochs N] [--seed S]
-  univsa train --csv DATA.csv --geometry W,L,C --config DH,DL,DK,O,THETA
-               --out MODEL [--epochs N] [--seed S]
-  univsa infer --model MODEL --csv DATA.csv
-  univsa compile --model MODEL --out ARTIFACT
-  univsa info  --model MODEL
-  univsa rtl   --model MODEL --out-dir DIR
-  univsa robustness --model MODEL --csv DATA.csv [--rates R1,R2,…] [--seed S]
-  univsa profile --task <NAME> [--seed S] [--epochs N] [--samples N]
-                 [--threads T] [--trace OUT.json] [--mem] [--workers N]
-                 [--listen ADDR]
-  univsa fleet-report --task <NAME> [--workers N] [--jobs N] [--seed S]
-                 [--chaos SPEC]
-  univsa search --task <NAME> [--workers N] [--population P] [--generations G]
-                 [--epochs E] [--seed S] [--chaos SPEC] [--surrogate]
-                 [--listen ADDR]
-  univsa seu    --task <NAME> [--workers N] [--rate R] [--trials T]
-                 [--samples N] [--seed S] [--chaos SPEC] [--listen ADDR]
-  univsa chaos  --task <NAME> [--workers N1,N2,…] [--crash R1,R2,…]
-                 [--corrupt R] [--hang R] [--population P] [--generations G]
-                 [--epochs E] [--seed S] [--surrogate] [--listen ADDR]
-  univsa quality <TASK> [--seed S] [--epochs N] [--samples N] [--drift-at I]
-                 [--strength P] [--window W] [--workers N] [--listen ADDR]
-  univsa top    ADDR [--interval MS] [--refreshes N]
-  univsa memsnap <TASK> [--seed S]
-  univsa bench-diff OLD.json NEW.json [--max-train-regress PCT|none]
-                 [--max-latency-regress PCT|none] [--max-cycles-regress PCT|none]
-                 [--max-accuracy-drop ABS|none] [--max-peak-alloc-regress PCT|none]
-                 [--max-alloc-count-regress PCT|none] [--max-footprint-drift BITS|none]
-                 [--max-margin-drop PCT|none] [--max-detect-latency-regress PCT|none]
-  univsa tasks
-  univsa help
+/// What a flag's value must satisfy beyond parsing as its type (for a
+/// comma list, what each element must satisfy).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Check {
+    /// Nothing beyond the type.
+    Any,
+    /// A number no smaller than this.
+    AtLeast(u32),
+    /// A probability in [0, 1].
+    Probability,
+    /// Not blank.
+    NonEmpty,
+}
 
-`infer` runs the packed engine: the model is compiled ahead of time
-into level-indexed LUT rows, channel-masked kernel planes, and
-bit-sliced majority counters, and each sample is classified with
-straight-line XNOR+popcount kernels (AVX2/NEON when available —
-selectable with the UNIVSA_KERNELS environment variable: `portable`,
-`native`, or an explicit tier). `compile` saves the lowered model as a standalone checksummed artifact
-(magic UNIVSAPK) that `infer` accepts directly in place of a model.
+/// One `--name` flag of a subcommand.
+#[derive(Debug, Clone, Copy)]
+struct Flag {
+    name: &'static str,
+    /// Value placeholder in the usage line (empty for a switch).
+    metavar: &'static str,
+    arity: Arity,
+    check: Check,
+}
 
-`profile` trains the task's paper configuration, reports per-epoch
-progress, measures per-sample inference latency percentiles, replays the
-simulated hardware pipeline, and reports the effective worker-pool
-thread count plus per-stage pool occupancy. `--threads T` (or the
-UNIVSA_THREADS environment variable) sets the pool width; results are
-bit-identical at every width. Set UNIVSA_TELEMETRY=summary or
-UNIVSA_TELEMETRY=jsonl:<path> to capture the underlying spans.
-`--trace OUT.json` additionally records a causal trace of the whole run
-(training epochs, per-sample inference stages, per-worker pool lanes,
-and the cycle-level hardware schedule on a virtual-time track) and
-writes it as Chrome trace-event JSON, viewable at https://ui.perfetto.dev
-or chrome://tracing. `profile --workers N` appends a fleet phase: probe
-fitness jobs are sharded over N worker processes, each worker captures
-its own spans/counters/allocation stats and forwards them over the IPC
-pipe, and the merged trace shows one Chrome-trace process per worker
-slot with its spans re-parented under the supervisor's dispatching
-`dist.task` regions (worker clocks are aligned to the supervisor
-timeline via the ping/pong handshake).
+const fn flag(name: &'static str, metavar: &'static str, arity: Arity) -> Flag {
+    Flag {
+        name,
+        metavar,
+        arity,
+        check: Check::Any,
+    }
+}
 
-`fleet-report` runs probe jobs through the fleet with telemetry
-forwarding on and prints a per-slot summary table — jobs served, busy
-time, retries, allocations, peak heap — plus the fleet-wide rollups.
+const fn required(name: &'static str, metavar: &'static str) -> Flag {
+    flag(name, metavar, Arity::Required)
+}
 
-`profile --mem` turns on the counting allocator and appends a per-stage
-allocation table (net bytes, allocation count, peak heap per span name),
-the trained model's footprint audit (modeled Eq. 5 bits vs. actual
-word-padded resident bits per weight store), and the BRAM count the
-calibrated cost model assigns the deployment.
+const fn optional(name: &'static str, metavar: &'static str) -> Flag {
+    flag(name, metavar, Arity::Optional)
+}
 
-`search` runs the paper's evolutionary configuration search (objective
-Acc − L_HW) and `seu` runs seeded single-event-upset campaigns for every
-protection scheme. Both shard their work over a supervised fleet of
-worker processes when --workers N (or the UNIVSA_WORKERS environment
-variable) is set: the same binary is re-executed N times and spoken to
-over a CRC32-framed stdin/stdout protocol with per-task deadlines,
-liveness pings, and bounded retries with exponential backoff. Results
-are keyed by job index, so stdout is bit-identical for every worker
-count — including zero, which runs in-process. Worker crashes, hangs,
-corrupt reply frames, and slow starts can be injected deterministically
-with --chaos (or UNIVSA_CHAOS), e.g.
-`--chaos crash=0.2,corrupt=0.05,seed=7`; the fleet recovers by
-re-dispatching, and falls back to the in-process pool if spawning fails
-outright. Retry/timeout/crash counts go to stderr, never stdout.
+const fn default(name: &'static str, metavar: &'static str, value: &'static str) -> Flag {
+    flag(name, metavar, Arity::Default(value))
+}
 
-`chaos` is the fleet's own regression gate: it runs the identical probe
-search across a worker-count × crash-rate matrix and exits nonzero
-unless every cell reproduces the single-process baseline bit for bit.
-`--surrogate` (search and chaos) swaps real training runs for a
-training-free deterministic objective — same fleet, same framing, same
-retry machinery, none of the cost — which is what quick self-checks and
-the CI chaos matrix use.
+const fn switch(name: &'static str) -> Flag {
+    flag(name, "", Arity::Switch)
+}
 
-Long-running subcommands (profile, search, seu, chaos) accept
-`--listen HOST:PORT` (or `:PORT` for loopback; port 0 picks an ephemeral
-port) to serve live metrics over HTTP while the run is in flight:
-`/metrics` is Prometheus text exposition, `/snapshot.json` is the full
-registry snapshot, `/healthz` is a readiness probe. The same endpoint
-starts on ANY subcommand when the UNIVSA_METRICS_ADDR environment
-variable is set; when neither is given, no thread is spawned and no
-socket is opened. `univsa top ADDR` is the matching client: it polls
-`/snapshot.json`, computes rates between polls, and renders a live
-refreshing table of per-stage throughput and latency percentiles, heap
-figures, and per-slot fleet counters. `--refreshes N` exits after N
-frames (for scripting); `--interval MS` sets the poll period.
+impl Flag {
+    const fn check(self, check: Check) -> Flag {
+        Flag { check, ..self }
+    }
+}
 
-`quality` is the prediction-quality observability surface: it trains the
-task's paper configuration, regenerates a seeded prediction stream from
-the same synthetic generator (optionally with drift injected from
-`--drift-at` onward at per-cell corruption probability `--strength`),
-classifies every sample with the packed engine, and reports the margin
-sketch (count/mean/p50/p90/p99), per-class prediction counts, online
-confusion/accuracy, the calibration gap, and every drift event the
-windowed detector fired with its detection latency in samples. The
-stream, the model, and therefore every number printed are pure functions
-of `(task, seed, epochs, samples, drift)`: output is bit-identical for
-any `--workers` count and any UNIVSA_THREADS width. Drift events also
-increment the `quality.drift_detected` counter, so a paired `--listen`
-endpoint shows them as `univsa_drift_events_total` on `/metrics`.
+/// One subcommand: its name, positional placeholders, flags, and the
+/// function that builds its [`Command`] from the parsed arguments.
+struct Spec {
+    name: &'static str,
+    positionals: &'static [&'static str],
+    flags: &'static [Flag],
+    build: fn(&Parsed<'_>) -> Result<Command, ParseArgsError>,
+}
 
-`memsnap` builds the task's paper configuration from seeded random
-weights (no training) and prints the Eq. 5 memory breakdown next to the
-footprint audit and BRAM reconciliation — the Table II memory column,
-component by component.
+const TASK: Flag = required("task", "<NAME>");
+const MODEL: Flag = required("model", "MODEL");
+const CSV: Flag = required("csv", "DATA.csv");
+const SEED: Flag = default("seed", "S", "42");
+const WORKERS: Flag = optional("workers", "N");
+const CHAOS: Flag = optional("chaos", "SPEC");
+const LISTEN: Flag = optional("listen", "ADDR").check(Check::NonEmpty);
 
-`bench-diff` compares two perf_baseline reports (BENCH_univsa.json,
-schema univsa-perf-baseline/v7) metric by metric and exits nonzero when
-any gate fires: train wall time and packed-engine p50/p99 latency
-(percent increase, default 25), hardware cycles (percent increase,
-default 0 — cycle counts are deterministic), accuracy (absolute drop,
-default 0.02), peak heap allocation and allocation count (percent
-increase, default 10), the model's resident footprint bits (absolute
-drift, default 0), the mean winner/runner-up margin on the held-out
-split (percent *drop*, default 5, `--max-margin-drop`), and the seeded
-drift probe's detection latency (percent increase, default 0 — the probe
-is deterministic, `--max-detect-latency-regress`); when the probe went
-undetected on one side that row renders `n/a`. Pass `none` to disable a
-gate.
-
-Built-in tasks: EEGMMI, BCI-III-V, CHB-B, CHB-IB, ISOLET, HAR (synthetic,
-with the paper's Table I geometry). CSV format: one sample per line,
-`label,v0,v1,…` with values in 0..=255; `#` lines are ignored.
-";
+/// Every subcommand, in `univsa help` order.
+const SUBCOMMANDS: &[Spec] = &[
+    Spec {
+        name: "train",
+        positionals: &[],
+        flags: &[
+            optional("task", "<NAME>"),
+            optional("csv", "DATA.csv"),
+            optional("geometry", "W,L,C"),
+            required("config", "DH,DL,DK,O,THETA"),
+            required("out", "MODEL"),
+            default("epochs", "N", "20"),
+            SEED,
+        ],
+        build: |p| {
+            let task: Option<String> = p.opt("task")?;
+            let csv: Option<String> = p.opt("csv")?;
+            if task.is_some() == csv.is_some() {
+                return Err(ParseArgsError(
+                    "train needs exactly one of --task or --csv".into(),
+                ));
+            }
+            let geometry = p.counts("geometry")?.map(|[w, l, c]| (w, l, c));
+            if csv.is_some() && geometry.is_none() {
+                return Err(ParseArgsError("--csv requires --geometry W,L,C".into()));
+            }
+            let [d_h, d_l, d_k, o, theta] = p.counts("config")?.ok_or_else(|| missing("config"))?;
+            Ok(Command::Train {
+                task,
+                csv,
+                geometry,
+                config: (d_h, d_l, d_k, o, theta),
+                epochs: p.get("epochs")?,
+                seed: p.get("seed")?,
+                out: p.get("out")?,
+            })
+        },
+    },
+    Spec {
+        name: "infer",
+        positionals: &[],
+        flags: &[MODEL, CSV],
+        build: |p| {
+            Ok(Command::Infer {
+                model: p.get("model")?,
+                csv: p.get("csv")?,
+            })
+        },
+    },
+    Spec {
+        name: "compile",
+        positionals: &[],
+        flags: &[MODEL, required("out", "ARTIFACT")],
+        build: |p| {
+            Ok(Command::Compile {
+                model: p.get("model")?,
+                out: p.get("out")?,
+            })
+        },
+    },
+    Spec {
+        name: "info",
+        positionals: &[],
+        flags: &[MODEL],
+        build: |p| {
+            Ok(Command::Info {
+                model: p.get("model")?,
+            })
+        },
+    },
+    Spec {
+        name: "rtl",
+        positionals: &[],
+        flags: &[MODEL, required("out-dir", "DIR")],
+        build: |p| {
+            Ok(Command::Rtl {
+                model: p.get("model")?,
+                out_dir: p.get("out-dir")?,
+            })
+        },
+    },
+    Spec {
+        name: "robustness",
+        positionals: &[],
+        flags: &[
+            MODEL,
+            CSV,
+            default("rates", "R1,R2,…", "0.001,0.01,0.05").check(Check::Probability),
+            SEED,
+        ],
+        build: |p| {
+            Ok(Command::Robustness {
+                model: p.get("model")?,
+                csv: p.get("csv")?,
+                rates: p.list("rates")?.ok_or_else(|| missing("rates"))?,
+                seed: p.get("seed")?,
+            })
+        },
+    },
+    Spec {
+        name: "profile",
+        positionals: &[],
+        flags: &[
+            TASK,
+            SEED,
+            optional("epochs", "N"),
+            default("samples", "N", "64").check(Check::AtLeast(1)),
+            optional("threads", "T").check(Check::AtLeast(1)),
+            optional("trace", "OUT.json"),
+            switch("mem"),
+            WORKERS,
+            LISTEN,
+        ],
+        build: |p| {
+            Ok(Command::Profile {
+                task: p.get("task")?,
+                seed: p.get("seed")?,
+                epochs: p.opt("epochs")?,
+                samples: p.get("samples")?,
+                threads: p.opt("threads")?,
+                trace: p.opt("trace")?,
+                mem: p.switch("mem"),
+                workers: p.opt("workers")?,
+                listen: p.opt("listen")?,
+            })
+        },
+    },
+    Spec {
+        name: "search",
+        positionals: &[],
+        flags: &[
+            TASK,
+            WORKERS,
+            default("population", "P", "10").check(Check::AtLeast(2)),
+            default("generations", "G", "4").check(Check::AtLeast(1)),
+            default("epochs", "E", "3").check(Check::AtLeast(1)),
+            SEED,
+            CHAOS,
+            switch("surrogate"),
+            LISTEN,
+        ],
+        build: |p| {
+            Ok(Command::Search {
+                task: p.get("task")?,
+                workers: p.opt("workers")?,
+                population: p.get("population")?,
+                generations: p.get("generations")?,
+                epochs: p.get("epochs")?,
+                seed: p.get("seed")?,
+                chaos: p.chaos()?,
+                surrogate: p.switch("surrogate"),
+                listen: p.opt("listen")?,
+            })
+        },
+    },
+    Spec {
+        name: "seu",
+        positionals: &[],
+        flags: &[
+            TASK,
+            WORKERS,
+            default("rate", "R", "1e-7").check(Check::Probability),
+            default("trials", "T", "8").check(Check::AtLeast(1)),
+            default("samples", "N", "32").check(Check::AtLeast(1)),
+            SEED,
+            CHAOS,
+            LISTEN,
+        ],
+        build: |p| {
+            Ok(Command::Seu {
+                task: p.get("task")?,
+                workers: p.opt("workers")?,
+                rate: p.get("rate")?,
+                trials: p.get("trials")?,
+                samples: p.get("samples")?,
+                seed: p.get("seed")?,
+                chaos: p.chaos()?,
+                listen: p.opt("listen")?,
+            })
+        },
+    },
+    Spec {
+        name: "quality",
+        positionals: &["<TASK>"],
+        flags: &[
+            SEED,
+            default("epochs", "N", "3").check(Check::AtLeast(1)),
+            default("samples", "N", "512").check(Check::AtLeast(1)),
+            optional("drift-at", "I"),
+            default("strength", "P", "0.5").check(Check::Probability),
+            default("window", "W", "128").check(Check::AtLeast(2)),
+            WORKERS,
+            LISTEN,
+        ],
+        build: |p| {
+            let samples: usize = p.get("samples")?;
+            let drift_at: Option<usize> = p.opt("drift-at")?;
+            if let Some(at) = drift_at.filter(|&at| at >= samples) {
+                return Err(ParseArgsError(format!(
+                    "--drift-at {at} is past the end of a {samples}-sample stream"
+                )));
+            }
+            Ok(Command::Quality {
+                task: p.positional(0),
+                seed: p.get("seed")?,
+                epochs: p.get("epochs")?,
+                samples,
+                drift_at,
+                strength: p.get("strength")?,
+                window: p.get("window")?,
+                workers: p.opt("workers")?,
+                listen: p.opt("listen")?,
+            })
+        },
+    },
+    Spec {
+        name: "top",
+        positionals: &["ADDR"],
+        flags: &[
+            default("interval", "MS", "1000").check(Check::AtLeast(1)),
+            optional("refreshes", "N").check(Check::AtLeast(1)),
+        ],
+        build: |p| {
+            Ok(Command::Top {
+                addr: p.positional(0),
+                interval_ms: p.get("interval")?,
+                refreshes: p.opt("refreshes")?,
+            })
+        },
+    },
+    Spec {
+        name: "bench-diff",
+        positionals: &["OLD.json", "NEW.json"],
+        flags: &[
+            optional("max-train-regress", "PCT|none"),
+            optional("max-latency-regress", "PCT|none"),
+            optional("max-cycles-regress", "PCT|none"),
+            optional("max-accuracy-drop", "ABS|none"),
+            optional("max-peak-alloc-regress", "PCT|none"),
+            optional("max-alloc-count-regress", "PCT|none"),
+            optional("max-footprint-drift", "BITS|none"),
+            optional("max-margin-drop", "PCT|none"),
+            optional("max-detect-latency-regress", "PCT|none"),
+        ],
+        build: |p| {
+            let d = Thresholds::default();
+            Ok(Command::BenchDiff {
+                old: p.positional(0),
+                new: p.positional(1),
+                thresholds: Thresholds {
+                    train_pct: p.gate("max-train-regress", d.train_pct)?,
+                    latency_pct: p.gate("max-latency-regress", d.latency_pct)?,
+                    cycles_pct: p.gate("max-cycles-regress", d.cycles_pct)?,
+                    accuracy_drop: p.gate("max-accuracy-drop", d.accuracy_drop)?,
+                    peak_alloc_pct: p.gate("max-peak-alloc-regress", d.peak_alloc_pct)?,
+                    alloc_count_pct: p.gate("max-alloc-count-regress", d.alloc_count_pct)?,
+                    footprint_bits: p.gate("max-footprint-drift", d.footprint_bits)?,
+                    margin_drop_pct: p.gate("max-margin-drop", d.margin_drop_pct)?,
+                    detect_latency_pct: p
+                        .gate("max-detect-latency-regress", d.detect_latency_pct)?,
+                },
+            })
+        },
+    },
+    Spec {
+        name: "tasks",
+        positionals: &[],
+        flags: &[],
+        build: |_| Ok(Command::Tasks),
+    },
+];
 
 impl Command {
     /// Parses a full argument list (excluding the program name).
@@ -406,724 +567,365 @@ impl Command {
     /// # Errors
     ///
     /// Returns [`ParseArgsError`] with a user-facing message on unknown
-    /// subcommands, missing/duplicate flags, or malformed values.
+    /// subcommands, unknown/missing/duplicate flags, stray positionals,
+    /// or malformed values.
     pub fn parse(args: &[String]) -> Result<Self, ParseArgsError> {
         let Some((sub, rest)) = args.split_first() else {
             return Ok(Command::Help);
         };
-        match sub.as_str() {
-            "help" | "--help" | "-h" => Ok(Command::Help),
-            "tasks" => {
-                expect_no_extra(rest)?;
-                Ok(Command::Tasks)
-            }
-            "train" => parse_train(rest),
-            "infer" => {
-                let flags = parse_flags(rest)?;
-                reject_unknown(&flags, &["model", "csv"], "infer")?;
-                Ok(Command::Infer {
-                    model: required(&flags, "model")?,
-                    csv: required(&flags, "csv")?,
-                })
-            }
-            "compile" => {
-                let flags = parse_flags(rest)?;
-                reject_unknown(&flags, &["model", "out"], "compile")?;
-                Ok(Command::Compile {
-                    model: required(&flags, "model")?,
-                    out: required(&flags, "out")?,
-                })
-            }
-            "info" => {
-                let flags = parse_flags(rest)?;
-                Ok(Command::Info {
-                    model: required(&flags, "model")?,
-                })
-            }
-            "rtl" => {
-                let flags = parse_flags(rest)?;
-                Ok(Command::Rtl {
-                    model: required(&flags, "model")?,
-                    out_dir: required(&flags, "out-dir")?,
-                })
-            }
-            "robustness" => {
-                let flags = parse_flags(rest)?;
-                let rates = match flags_get(&flags, "rates") {
-                    Some(r) => parse_rates(&r)?,
-                    None => vec![0.001, 0.01, 0.05],
-                };
-                let seed = match flags_get(&flags, "seed") {
-                    Some(s) => s
-                        .parse()
-                        .map_err(|_| ParseArgsError(format!("bad --seed {s:?}")))?,
-                    None => 42,
-                };
-                Ok(Command::Robustness {
-                    model: required(&flags, "model")?,
-                    csv: required(&flags, "csv")?,
-                    rates,
-                    seed,
-                })
-            }
-            "memsnap" => {
-                // one positional task name, then flags
-                let Some((task, rest)) = rest.split_first() else {
-                    return Err(ParseArgsError(
-                        "memsnap needs a task name: univsa memsnap <TASK> [--seed S]".into(),
-                    ));
-                };
-                if task.starts_with("--") {
-                    return Err(ParseArgsError(
-                        "memsnap needs a task name before flags: univsa memsnap <TASK>".into(),
-                    ));
-                }
-                let flags = parse_flags(rest)?;
-                for (name, _) in &flags {
-                    if name != "seed" {
-                        return Err(ParseArgsError(format!(
-                            "unknown memsnap flag --{name} (expected --seed)"
-                        )));
-                    }
-                }
-                let seed = match flags_get(&flags, "seed") {
-                    Some(s) => s
-                        .parse()
-                        .map_err(|_| ParseArgsError(format!("bad --seed {s:?}")))?,
-                    None => 42,
-                };
-                Ok(Command::Memsnap {
-                    task: task.clone(),
-                    seed,
-                })
-            }
-            "profile" => {
-                // `--mem` is a boolean switch; everything else is
-                // flag+value pairs
-                let (rest, mem) = take_switch(rest, "mem");
-                let flags = parse_flags(&rest)?;
-                reject_unknown(
-                    &flags,
-                    &[
-                        "task", "seed", "epochs", "samples", "threads", "trace", "workers",
-                        "listen",
-                    ],
-                    "profile",
-                )?;
-                let seed = match flags_get(&flags, "seed") {
-                    Some(s) => s
-                        .parse()
-                        .map_err(|_| ParseArgsError(format!("bad --seed {s:?}")))?,
-                    None => 42,
-                };
-                let epochs = match flags_get(&flags, "epochs") {
-                    Some(e) => Some(
-                        e.parse()
-                            .map_err(|_| ParseArgsError(format!("bad --epochs {e:?}")))?,
-                    ),
-                    None => None,
-                };
-                let samples = match flags_get(&flags, "samples") {
-                    Some(s) => s
-                        .parse()
-                        .map_err(|_| ParseArgsError(format!("bad --samples {s:?}")))?,
-                    None => 64,
-                };
-                if samples == 0 {
-                    return Err(ParseArgsError("--samples must be at least 1".into()));
-                }
-                let threads = match flags_get(&flags, "threads") {
-                    Some(t) => {
-                        let t: usize = t
-                            .parse()
-                            .map_err(|_| ParseArgsError(format!("bad --threads {t:?}")))?;
-                        if t == 0 {
-                            return Err(ParseArgsError("--threads must be at least 1".into()));
-                        }
-                        Some(t)
-                    }
-                    None => None,
-                };
-                Ok(Command::Profile {
-                    task: required(&flags, "task")?,
-                    seed,
-                    epochs,
-                    samples,
-                    threads,
-                    trace: flags_get(&flags, "trace"),
-                    mem,
-                    workers: parse_fleet_workers(&flags)?,
-                    listen: parse_listen(&flags)?,
-                })
-            }
-            "quality" => parse_quality(rest),
-            "fleet-report" => parse_fleet_report(rest),
-            "search" => parse_search(rest),
-            "seu" => parse_seu(rest),
-            "chaos" => parse_chaos(rest),
-            "top" => parse_top(rest),
-            "bench-diff" => parse_bench_diff(rest),
-            other => Err(ParseArgsError(format!(
-                "unknown subcommand {other:?}; run `univsa help`"
-            ))),
+        if matches!(sub.as_str(), "help" | "--help" | "-h") {
+            return Ok(Command::Help);
         }
+        let spec = SUBCOMMANDS
+            .iter()
+            .find(|spec| spec.name == sub)
+            .ok_or_else(|| {
+                ParseArgsError(format!("unknown subcommand {sub:?}; run `univsa help`"))
+            })?;
+        (spec.build)(&spec.parse(rest)?)
+    }
+
+    /// Parses the process's arguments (excluding the program name), as
+    /// [`Command::parse`] does.
+    ///
+    /// # Errors
+    ///
+    /// Also returns [`ParseArgsError`], naming its position, for an
+    /// argument that is not valid UTF-8.
+    pub fn parse_os(args: impl IntoIterator<Item = OsString>) -> Result<Self, ParseArgsError> {
+        let args = args
+            .into_iter()
+            .enumerate()
+            .map(|(i, arg)| {
+                arg.into_string().map_err(|arg| {
+                    ParseArgsError(format!("argument {} is not valid UTF-8: {arg:?}", i + 1))
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Self::parse(&args)
     }
 }
 
-/// The threshold flags `bench-diff` accepts (everything else is a typo).
-const BENCH_DIFF_FLAGS: [&str; 9] = [
-    "max-train-regress",
-    "max-latency-regress",
-    "max-cycles-regress",
-    "max-accuracy-drop",
-    "max-peak-alloc-regress",
-    "max-alloc-count-regress",
-    "max-footprint-drift",
-    "max-margin-drop",
-    "max-detect-latency-regress",
-];
+/// The usage text `univsa help` prints: the synopsis of every
+/// subcommand, rendered from [`SUBCOMMANDS`], then the prose.
+pub(crate) fn usage() -> String {
+    let mut text = String::from("univsa — binary vector symbolic architecture toolkit\n\nUSAGE:\n");
+    for spec in SUBCOMMANDS {
+        wrap_synopsis(&mut text, &spec.synopsis());
+    }
+    text.push_str("  univsa help\n");
+    text.push_str(PROSE);
+    let tiers: Vec<&str> = KernelTier::ALL.iter().map(|tier| tier.name()).collect();
+    text.push_str(&format!(
+        "Kernel tiers, best first: {}.\n",
+        tiers.join(", ")
+    ));
+    text
+}
 
-fn parse_bench_diff(rest: &[String]) -> Result<Command, ParseArgsError> {
-    // two positional report paths, then threshold flags in any position
-    let mut positionals = Vec::new();
-    let mut flag_args = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        if arg.starts_with("--") {
-            flag_args.push(arg.clone());
-            match it.next() {
-                Some(v) => flag_args.push(v.clone()),
-                None => return Err(ParseArgsError(format!("{arg} needs a value"))),
-            }
+/// Appends one synopsis to the usage text, wrapped at 78 columns with
+/// every flag kept on one line.
+fn wrap_synopsis(text: &mut String, words: &[String]) {
+    const INDENT: &str = "                 ";
+    let mut line = String::from("  univsa");
+    for word in words {
+        if line.chars().count() + 1 + word.chars().count() > 78 {
+            text.push_str(&line);
+            text.push('\n');
+            line = String::from(INDENT);
         } else {
-            positionals.push(arg.clone());
+            line.push(' ');
         }
+        line.push_str(word);
     }
-    if positionals.len() != 2 {
-        return Err(ParseArgsError(
-            "bench-diff needs exactly two report paths: univsa bench-diff <old> <new>".into(),
-        ));
-    }
-    let flags = parse_flags(&flag_args)?;
-    for (name, _) in &flags {
-        if !BENCH_DIFF_FLAGS.contains(&name.as_str()) {
-            return Err(ParseArgsError(format!(
-                "unknown bench-diff flag --{name} (expected one of --{})",
-                BENCH_DIFF_FLAGS.join(" --")
-            )));
-        }
-    }
-    let defaults = Thresholds::default();
-    let thresholds = Thresholds {
-        train_pct: parse_threshold(&flags, "max-train-regress", defaults.train_pct)?,
-        latency_pct: parse_threshold(&flags, "max-latency-regress", defaults.latency_pct)?,
-        cycles_pct: parse_threshold(&flags, "max-cycles-regress", defaults.cycles_pct)?,
-        accuracy_drop: parse_threshold(&flags, "max-accuracy-drop", defaults.accuracy_drop)?,
-        peak_alloc_pct: parse_threshold(&flags, "max-peak-alloc-regress", defaults.peak_alloc_pct)?,
-        alloc_count_pct: parse_threshold(
-            &flags,
-            "max-alloc-count-regress",
-            defaults.alloc_count_pct,
-        )?,
-        footprint_bits: parse_threshold(&flags, "max-footprint-drift", defaults.footprint_bits)?,
-        margin_drop_pct: parse_threshold(&flags, "max-margin-drop", defaults.margin_drop_pct)?,
-        detect_latency_pct: parse_threshold(
-            &flags,
-            "max-detect-latency-regress",
-            defaults.detect_latency_pct,
-        )?,
-    };
-    let [old, new]: [String; 2] = positionals
-        .try_into()
-        .map_err(|_| ParseArgsError("bench-diff needs exactly two report paths".into()))?;
-    Ok(Command::BenchDiff {
-        old,
-        new,
-        thresholds,
-    })
+    text.push_str(&line);
+    text.push('\n');
 }
 
-/// Parses a `--flag` value with a typed per-flag error, falling back to
-/// `default` when the flag is absent.
-fn parse_value<T: std::str::FromStr>(
-    flags: &Flags,
-    name: &str,
-    default: T,
-) -> Result<T, ParseArgsError> {
-    match flags_get(flags, name) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| ParseArgsError(format!("bad --{name} {v:?}"))),
-        None => Ok(default),
-    }
-}
+/// The hand-written part of the usage text, between the synopsis and
+/// the kernel tier list.
+const PROSE: &str = "
+`infer` runs the packed engine: the model is compiled ahead of time
+into level-indexed LUT rows, channel-masked kernel planes, and
+bit-sliced majority counters, and each sample is classified with
+straight-line XNOR+popcount kernels of the best tier the CPU supports
+(listed below) unless the UNIVSA_KERNELS environment variable selects
+`portable`, `native`, or an explicit tier. `compile` saves the lowered
+model as a standalone checksummed artifact (magic UNIVSAPK) that
+`infer` accepts directly in place of a model.
 
-/// Parses a `--flag` that must be ≥ 1 when present.
-fn parse_at_least_one(flags: &Flags, name: &str, default: usize) -> Result<usize, ParseArgsError> {
-    let value: usize = parse_value(flags, name, default)?;
-    if value == 0 {
-        return Err(ParseArgsError(format!("--{name} must be at least 1")));
-    }
-    Ok(value)
-}
+`train` takes exactly one of --task or --csv; --csv also needs
+--geometry W,L,C. `info` prints a saved model's Eq. 5 memory breakdown.
 
-/// Parses the optional fleet width (`--workers N`; 0 = in-process).
-fn parse_fleet_workers(flags: &Flags) -> Result<Option<usize>, ParseArgsError> {
-    match flags_get(flags, "workers") {
-        Some(w) => {
-            Ok(Some(w.parse().map_err(|_| {
-                ParseArgsError(format!("bad --workers {w:?}"))
-            })?))
-        }
-        None => Ok(None),
-    }
-}
+`profile` trains the task's paper configuration and times every layer:
+per-epoch training, per-sample inference latency percentiles, the
+simulated hardware pipeline, and worker-pool occupancy. `--threads T`
+(or UNIVSA_THREADS) sets the pool width; results are bit-identical at
+every width. UNIVSA_TELEMETRY=summary or UNIVSA_TELEMETRY=jsonl:<path>
+captures the underlying spans. `--trace OUT.json` writes a causal
+Chrome trace of the whole run (view it at https://ui.perfetto.dev).
+`--mem` adds a per-span allocation table, the trained model's footprint
+audit (Eq. 5 bits vs. word-padded resident bits per weight store) and
+the BRAM count of the calibrated cost model. `--workers N` appends a
+fleet phase: probe jobs sharded over N worker processes, whose forwarded
+telemetry fills a per-slot table (jobs, retries, dropped telemetry
+batches, busy time, allocations, peak heap) and the fleet rollup; in the
+trace each worker slot is its own process, its spans parented under the
+supervisor's `dist.task` regions.
 
-/// Parses the optional `--listen` metrics-endpoint address. The value
-/// is validated when the exporter binds; here it only has to be
-/// non-empty.
-fn parse_listen(flags: &Flags) -> Result<Option<String>, ParseArgsError> {
-    match flags_get(flags, "listen") {
-        Some(addr) if addr.trim().is_empty() => {
-            Err(ParseArgsError("--listen needs HOST:PORT or :PORT".into()))
-        }
-        other => Ok(other),
-    }
-}
+`search` runs the paper's evolutionary configuration search (objective
+Acc − L_HW) and `seu` runs seeded single-event-upset campaigns for every
+protection scheme. Both shard their work over a supervised fleet of
+worker processes with --workers N (or UNIVSA_WORKERS): the same binary,
+re-executed and spoken to over a CRC32-framed stdin/stdout protocol with
+deadlines, liveness pings and bounded retries. Results are keyed by job
+index, so stdout is bit-identical for every worker count, including 0
+(in-process). --chaos (or UNIVSA_CHAOS) injects seeded worker faults,
+e.g. `--chaos crash=0.2,corrupt=0.05,seed=7`; they may cost retries
+(counted on stderr), never results, so diffing a chaotic run's stdout
+against `--workers 0` checks the fleet end to end. `--surrogate` swaps
+training for a deterministic training-free objective.
 
-/// Parses the optional `--chaos` fault-injection spec.
-fn parse_chaos_spec(flags: &Flags) -> Result<univsa::ChaosSpec, ParseArgsError> {
-    match flags_get(flags, "chaos") {
-        Some(spec) => univsa::ChaosSpec::parse(&spec)
-            .map_err(|e| ParseArgsError(format!("bad --chaos {spec:?}: {e}"))),
-        None => Ok(univsa::ChaosSpec::default()),
-    }
-}
+`quality` trains the task's paper configuration, replays a seeded
+prediction stream (with drift injected from `--drift-at` on at per-cell
+corruption probability `--strength`) through the packed engine, and
+reports the margin sketch, per-class predictions, online accuracy, the
+calibration gap, and every drift event with its detection latency. The
+output is bit-identical for any --workers and UNIVSA_THREADS.
 
-fn reject_unknown(flags: &Flags, known: &[&str], sub: &str) -> Result<(), ParseArgsError> {
-    for (name, _) in flags {
-        if !known.contains(&name.as_str()) {
-            return Err(ParseArgsError(format!(
-                "unknown {sub} flag --{name} (expected one of --{})",
-                known.join(" --")
-            )));
-        }
-    }
-    Ok(())
-}
+`--listen HOST:PORT` (or `:PORT`; port 0 picks one) on profile, search,
+seu and quality, or UNIVSA_METRICS_ADDR on any subcommand, serves live
+metrics while the run is in flight: `/metrics` (Prometheus text),
+`/snapshot.json`, `/healthz`. Without either no thread or socket is
+opened. `univsa top ADDR` renders a refreshing view of such an endpoint;
+`--refreshes N` exits after N frames, `--interval MS` sets the period.
 
-/// Strips a boolean `--name` switch out of the argument list (the
-/// remaining arguments are `--flag value` pairs).
-fn take_switch(rest: &[String], name: &str) -> (Vec<String>, bool) {
-    let switch = format!("--{name}");
-    let mut present = false;
-    let rest = rest
-        .iter()
-        .filter(|a| {
-            if a.as_str() == switch {
-                present = true;
-                false
-            } else {
-                true
-            }
-        })
-        .cloned()
-        .collect();
-    (rest, present)
-}
+`bench-diff` compares two perf_baseline reports (schema
+univsa-perf-baseline/v7) and exits nonzero when a gate fires. Defaults:
+train time and p50/p99 latency +25%, hardware cycles +0%, accuracy drop
+0.02 (absolute), peak heap and allocation count +10%, footprint drift 0
+bits, mean margin drop 5%, drift-probe detection latency +0% (`n/a` when
+the probe went undetected). Pass `none` to disable a gate.
 
-fn parse_fleet_report(rest: &[String]) -> Result<Command, ParseArgsError> {
-    let flags = parse_flags(rest)?;
-    reject_unknown(
-        &flags,
-        &["task", "workers", "jobs", "seed", "chaos"],
-        "fleet-report",
-    )?;
-    Ok(Command::FleetReport {
-        task: required(&flags, "task")?,
-        workers: parse_fleet_workers(&flags)?,
-        jobs: parse_at_least_one(&flags, "jobs", 8)?,
-        seed: parse_value(&flags, "seed", 42)?,
-        chaos: parse_chaos_spec(&flags)?,
-    })
-}
+Built-in tasks: EEGMMI, BCI-III-V, CHB-B, CHB-IB, ISOLET, HAR (synthetic,
+with the paper's Table I geometry). CSV format: one sample per line,
+`label,v0,v1,…` with values in 0..=255; `#` lines are ignored.
 
-fn parse_search(rest: &[String]) -> Result<Command, ParseArgsError> {
-    let (rest, surrogate) = take_switch(rest, "surrogate");
-    let flags = parse_flags(&rest)?;
-    reject_unknown(
-        &flags,
-        &[
-            "task",
-            "workers",
-            "population",
-            "generations",
-            "epochs",
-            "seed",
-            "chaos",
-            "listen",
-        ],
-        "search",
-    )?;
-    let population = parse_at_least_one(&flags, "population", 10)?;
-    if population < 2 {
-        return Err(ParseArgsError("--population must be at least 2".into()));
-    }
-    Ok(Command::Search {
-        task: required(&flags, "task")?,
-        workers: parse_fleet_workers(&flags)?,
-        population,
-        generations: parse_at_least_one(&flags, "generations", 4)?,
-        epochs: parse_at_least_one(&flags, "epochs", 3)?,
-        seed: parse_value(&flags, "seed", 42)?,
-        chaos: parse_chaos_spec(&flags)?,
-        surrogate,
-        listen: parse_listen(&flags)?,
-    })
-}
+";
 
-fn parse_seu(rest: &[String]) -> Result<Command, ParseArgsError> {
-    let flags = parse_flags(rest)?;
-    reject_unknown(
-        &flags,
-        &[
-            "task", "workers", "rate", "trials", "samples", "seed", "chaos", "listen",
-        ],
-        "seu",
-    )?;
-    let rate: f64 = parse_value(&flags, "rate", 1e-7)?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(ParseArgsError(format!(
-            "--rate must be a probability in [0, 1] — got {rate}"
-        )));
+impl Spec {
+    /// The synopsis words after `univsa`: the name, the positionals,
+    /// then one word per flag (`--req M`, `[--opt M]`, `[--switch]`).
+    fn synopsis(&self) -> Vec<String> {
+        let flags = self.flags.iter().map(|f| match f.arity {
+            Arity::Required => format!("--{} {}", f.name, f.metavar),
+            Arity::Switch => format!("[--{}]", f.name),
+            Arity::Default(_) | Arity::Optional => format!("[--{} {}]", f.name, f.metavar),
+        });
+        std::iter::once(self.name)
+            .chain(self.positionals.iter().copied())
+            .map(str::to_string)
+            .chain(flags)
+            .collect()
     }
-    Ok(Command::Seu {
-        task: required(&flags, "task")?,
-        workers: parse_fleet_workers(&flags)?,
-        rate,
-        trials: parse_at_least_one(&flags, "trials", 8)?,
-        samples: parse_at_least_one(&flags, "samples", 32)?,
-        seed: parse_value(&flags, "seed", 42)?,
-        chaos: parse_chaos_spec(&flags)?,
-        listen: parse_listen(&flags)?,
-    })
-}
 
-fn parse_quality(rest: &[String]) -> Result<Command, ParseArgsError> {
-    // one positional task name, then flags
-    let Some((task, rest)) = rest.split_first() else {
-        return Err(ParseArgsError(
-            "quality needs a task name: univsa quality <TASK> [--seed S] [--samples N]".into(),
-        ));
-    };
-    if task.starts_with("--") {
-        return Err(ParseArgsError(
-            "quality needs a task name before flags: univsa quality <TASK>".into(),
-        ));
-    }
-    let flags = parse_flags(rest)?;
-    reject_unknown(
-        &flags,
-        &[
-            "seed", "epochs", "samples", "drift-at", "strength", "window", "workers", "listen",
-        ],
-        "quality",
-    )?;
-    let samples = parse_at_least_one(&flags, "samples", 512)?;
-    let drift_at = match flags_get(&flags, "drift-at") {
-        Some(v) => {
-            let at: usize = v
-                .parse()
-                .map_err(|_| ParseArgsError(format!("bad --drift-at {v:?}")))?;
-            if at >= samples {
-                return Err(ParseArgsError(format!(
-                    "--drift-at {at} is past the end of a {samples}-sample stream"
-                )));
-            }
-            Some(at)
-        }
-        None => None,
-    };
-    let strength: f32 = parse_value(&flags, "strength", 0.5)?;
-    if !(0.0..=1.0).contains(&strength) {
-        return Err(ParseArgsError(format!(
-            "--strength must be a probability in [0, 1] — got {strength}"
-        )));
-    }
-    let window = parse_at_least_one(&flags, "window", 128)?;
-    if window < 2 {
-        return Err(ParseArgsError("--window must be at least 2".into()));
-    }
-    Ok(Command::Quality {
-        task: task.clone(),
-        seed: parse_value(&flags, "seed", 42)?,
-        epochs: parse_at_least_one(&flags, "epochs", 3)?,
-        samples,
-        drift_at,
-        strength,
-        window,
-        workers: parse_fleet_workers(&flags)?,
-        listen: parse_listen(&flags)?,
-    })
-}
-
-fn parse_top(rest: &[String]) -> Result<Command, ParseArgsError> {
-    // one positional endpoint address, then flags
-    let Some((addr, rest)) = rest.split_first() else {
-        return Err(ParseArgsError(
-            "top needs an endpoint address: univsa top HOST:PORT [--interval MS] [--refreshes N]"
-                .into(),
-        ));
-    };
-    if addr.starts_with("--") {
-        return Err(ParseArgsError(
-            "top needs the endpoint address before flags: univsa top HOST:PORT".into(),
-        ));
-    }
-    let flags = parse_flags(rest)?;
-    reject_unknown(&flags, &["interval", "refreshes"], "top")?;
-    let interval_ms = parse_value(&flags, "interval", 1000u64)?;
-    if interval_ms == 0 {
-        return Err(ParseArgsError("--interval must be at least 1 ms".into()));
-    }
-    let refreshes = match flags_get(&flags, "refreshes") {
-        Some(n) => {
-            let n: u64 = n
-                .parse()
-                .map_err(|_| ParseArgsError(format!("bad --refreshes {n:?}")))?;
-            if n == 0 {
-                return Err(ParseArgsError("--refreshes must be at least 1".into()));
-            }
-            Some(n)
-        }
-        None => None,
-    };
-    Ok(Command::Top {
-        addr: addr.clone(),
-        interval_ms,
-        refreshes,
-    })
-}
-
-fn parse_chaos(rest: &[String]) -> Result<Command, ParseArgsError> {
-    let (rest, surrogate) = take_switch(rest, "surrogate");
-    let flags = parse_flags(&rest)?;
-    reject_unknown(
-        &flags,
-        &[
-            "task",
-            "workers",
-            "crash",
-            "corrupt",
-            "hang",
-            "population",
-            "generations",
-            "epochs",
-            "seed",
-            "listen",
-        ],
-        "chaos",
-    )?;
-    let workers = match flags_get(&flags, "workers") {
-        Some(list) => {
-            let counts: Result<Vec<usize>, _> = list
-                .split(',')
-                .map(|part| {
-                    part.trim().parse::<usize>().map_err(|_| {
-                        ParseArgsError(format!("bad worker count {part:?} in {list:?}"))
-                    })
-                })
-                .collect();
-            let counts = counts?;
-            if counts.is_empty() {
-                return Err(ParseArgsError("--workers needs at least one count".into()));
-            }
-            counts
-        }
-        None => vec![0, 2, 4],
-    };
-    let crash = match flags_get(&flags, "crash") {
-        Some(list) => parse_rates(&list).map_err(|e| ParseArgsError(format!("--crash: {e}")))?,
-        None => vec![0.0, 0.2],
-    };
-    let corrupt: f64 = parse_value(&flags, "corrupt", 0.05)?;
-    let hang: f64 = parse_value(&flags, "hang", 0.0)?;
-    for (name, value) in [("corrupt", corrupt), ("hang", hang)] {
-        if !(0.0..=1.0).contains(&value) {
-            return Err(ParseArgsError(format!(
-                "--{name} must be a probability in [0, 1] — got {value}"
-            )));
-        }
-    }
-    let population = parse_at_least_one(&flags, "population", 6)?;
-    if population < 2 {
-        return Err(ParseArgsError("--population must be at least 2".into()));
-    }
-    Ok(Command::Chaos {
-        task: required(&flags, "task")?,
-        workers,
-        crash,
-        corrupt,
-        hang,
-        population,
-        generations: parse_at_least_one(&flags, "generations", 2)?,
-        epochs: parse_at_least_one(&flags, "epochs", 1)?,
-        seed: parse_value(&flags, "seed", 42)?,
-        surrogate,
-        listen: parse_listen(&flags)?,
-    })
-}
-
-/// Parses a gate value: a non-negative number, or `none`/`off` to disable.
-fn parse_threshold(
-    flags: &Flags,
-    name: &str,
-    default: Option<f64>,
-) -> Result<Option<f64>, ParseArgsError> {
-    match flags_get(flags, name) {
-        None => Ok(default),
-        Some(v) if v.eq_ignore_ascii_case("none") || v.eq_ignore_ascii_case("off") => Ok(None),
-        Some(v) => match v.parse::<f64>() {
-            Ok(x) if x >= 0.0 && x.is_finite() => Ok(Some(x)),
-            _ => Err(ParseArgsError(format!(
-                "bad --{name} {v:?} (want a non-negative number or `none`)"
-            ))),
-        },
-    }
-}
-
-fn parse_train(rest: &[String]) -> Result<Command, ParseArgsError> {
-    let flags = parse_flags(rest)?;
-    let task = flags_get(&flags, "task");
-    let csv = flags_get(&flags, "csv");
-    if task.is_some() == csv.is_some() {
-        return Err(ParseArgsError(
-            "train needs exactly one of --task or --csv".into(),
-        ));
-    }
-    let geometry = match flags_get(&flags, "geometry") {
-        Some(g) => Some(parse_triple(&g)?),
-        None => None,
-    };
-    if csv.is_some() && geometry.is_none() {
-        return Err(ParseArgsError("--csv requires --geometry W,L,C".into()));
-    }
-    let config = parse_tuple5(&required(&flags, "config")?)?;
-    let epochs = match flags_get(&flags, "epochs") {
-        Some(e) => e
-            .parse()
-            .map_err(|_| ParseArgsError(format!("bad --epochs {e:?}")))?,
-        None => 20,
-    };
-    let seed = match flags_get(&flags, "seed") {
-        Some(s) => s
-            .parse()
-            .map_err(|_| ParseArgsError(format!("bad --seed {s:?}")))?,
-        None => 42,
-    };
-    Ok(Command::Train {
-        task,
-        csv,
-        geometry,
-        config,
-        epochs,
-        seed,
-        out: required(&flags, "out")?,
-    })
-}
-
-type Flags = Vec<(String, String)>;
-
-fn parse_flags(args: &[String]) -> Result<Flags, ParseArgsError> {
-    let mut flags = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let Some(name) = arg.strip_prefix("--") else {
-            return Err(ParseArgsError(format!(
-                "unexpected positional argument {arg:?}"
-            )));
+    /// Matches `args` against this subcommand: every `--name` must be one
+    /// of its flags and appear once, every valued flag needs a value,
+    /// positionals fill the declared slots exactly, and required flags
+    /// must be present. Values are checked when they are read.
+    fn parse<'a>(&'static self, args: &'a [String]) -> Result<Parsed<'a>, ParseArgsError> {
+        let mut parsed = Parsed {
+            spec: self,
+            positionals: Vec::new(),
+            given: Vec::new(),
         };
-        let value = it
-            .next()
-            .ok_or_else(|| ParseArgsError(format!("--{name} needs a value")))?;
-        if flags.iter().any(|(n, _)| n == name) {
-            return Err(ParseArgsError(format!("duplicate flag --{name}")));
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                if parsed.positionals.len() == self.positionals.len() {
+                    return Err(ParseArgsError(format!(
+                        "unexpected positional argument {arg:?}"
+                    )));
+                }
+                parsed.positionals.push(arg);
+                continue;
+            };
+            let flag = self.flags.iter().find(|f| f.name == name).ok_or_else(|| {
+                let known: Vec<&str> = self.flags.iter().map(|f| f.name).collect();
+                ParseArgsError(format!(
+                    "unknown {} flag --{name} (expected one of --{})",
+                    self.name,
+                    known.join(" --")
+                ))
+            })?;
+            if parsed.given.iter().any(|(f, _)| f.name == name) {
+                return Err(ParseArgsError(format!("duplicate flag --{name}")));
+            }
+            let value = if flag.arity == Arity::Switch {
+                ""
+            } else {
+                it.next()
+                    .map(String::as_str)
+                    .ok_or_else(|| ParseArgsError(format!("--{name} needs a value")))?
+            };
+            parsed.given.push((flag, value));
         }
-        flags.push((name.to_string(), value.clone()));
-    }
-    Ok(flags)
-}
-
-fn flags_get(flags: &Flags, name: &str) -> Option<String> {
-    flags
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.clone())
-}
-
-fn required(flags: &Flags, name: &str) -> Result<String, ParseArgsError> {
-    flags_get(flags, name).ok_or_else(|| ParseArgsError(format!("missing required --{name}")))
-}
-
-fn expect_no_extra(rest: &[String]) -> Result<(), ParseArgsError> {
-    if rest.is_empty() {
-        Ok(())
-    } else {
-        Err(ParseArgsError(format!(
-            "unexpected arguments: {}",
-            rest.join(" ")
-        )))
+        if parsed.positionals.len() < self.positionals.len() {
+            return Err(ParseArgsError(format!(
+                "{} needs {}: univsa {}",
+                self.name,
+                self.positionals.join(" "),
+                self.synopsis().join(" ")
+            )));
+        }
+        for f in self.flags {
+            if f.arity == Arity::Required && parsed.raw(f.name).is_none() {
+                return Err(missing(f.name));
+            }
+        }
+        Ok(parsed)
     }
 }
 
-fn parse_triple(s: &str) -> Result<(usize, usize, usize), ParseArgsError> {
-    let parts: Vec<&str> = s.split(',').collect();
-    if parts.len() != 3 {
-        return Err(ParseArgsError(format!("expected W,L,C — got {s:?}")));
+/// One subcommand's arguments, matched against its [`Spec`]; the typed
+/// getters apply each flag's default and [`Check`].
+struct Parsed<'a> {
+    spec: &'static Spec,
+    positionals: Vec<&'a str>,
+    /// Every flag given, with its value (empty for a switch).
+    given: Vec<(&'static Flag, &'a str)>,
+}
+
+impl Parsed<'_> {
+    fn flag(&self, name: &str) -> &'static Flag {
+        self.spec
+            .flags
+            .iter()
+            .find(|f| f.name == name)
+            .unwrap_or_else(|| panic!("{} has no --{name} in the flag table", self.spec.name))
     }
-    let mut nums = [0usize; 3];
-    for (slot, part) in nums.iter_mut().zip(&parts) {
-        *slot = part
-            .trim()
+
+    /// The given value, else the default.
+    fn raw(&self, name: &str) -> Option<&str> {
+        let given = self.given.iter().find(|(f, _)| f.name == name);
+        match (given, self.flag(name).arity) {
+            (Some(&(_, value)), _) => Some(value),
+            (None, Arity::Default(value)) => Some(value),
+            (None, _) => None,
+        }
+    }
+
+    fn positional(&self, index: usize) -> String {
+        self.positionals[index].to_string()
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.raw(name).is_some()
+    }
+
+    /// A valued flag that is required or has a default.
+    fn get<T: FromStr>(&self, name: &str) -> Result<T, ParseArgsError> {
+        self.opt(name)?.ok_or_else(|| missing(name))
+    }
+
+    /// A valued flag, `None` when absent and without a default.
+    fn opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, ParseArgsError> {
+        let Some(raw) = self.raw(name) else {
+            return Ok(None);
+        };
+        let value = raw
             .parse()
-            .map_err(|_| ParseArgsError(format!("bad number {part:?} in {s:?}")))?;
+            .map_err(|_| ParseArgsError(format!("bad --{name} {raw:?}")))?;
+        check(self.flag(name), raw)?;
+        Ok(Some(value))
     }
-    Ok((nums[0], nums[1], nums[2]))
-}
 
-fn parse_rates(s: &str) -> Result<Vec<f64>, ParseArgsError> {
-    let rates: Result<Vec<f64>, _> = s
-        .split(',')
-        .map(|part| {
-            part.trim()
-                .parse::<f64>()
-                .map_err(|_| ParseArgsError(format!("bad rate {part:?} in {s:?}")))
+    /// A comma list; the flag's [`Check`] applies to every element.
+    fn list<T: FromStr>(&self, name: &str) -> Result<Option<Vec<T>>, ParseArgsError> {
+        let Some(raw) = self.raw(name) else {
+            return Ok(None);
+        };
+        let flag = self.flag(name);
+        let noun = if flag.check == Check::Probability {
+            "rate"
+        } else {
+            "number"
+        };
+        raw.split(',')
+            .map(|part| {
+                let part = part.trim();
+                let value = part
+                    .parse()
+                    .map_err(|_| ParseArgsError(format!("bad {noun} {part:?} in {raw:?}")))?;
+                check(flag, part)?;
+                Ok(value)
+            })
+            .collect::<Result<_, _>>()
+            .map(Some)
+    }
+
+    /// A comma list of exactly `N` counts, spelled out by the metavar.
+    fn counts<const N: usize>(&self, name: &str) -> Result<Option<[usize; N]>, ParseArgsError> {
+        let Some(list) = self.list::<usize>(name)? else {
+            return Ok(None);
+        };
+        list.try_into().map(Some).map_err(|_| {
+            ParseArgsError(format!(
+                "expected {} — got {:?}",
+                self.flag(name).metavar,
+                self.raw(name).unwrap_or_default()
+            ))
         })
-        .collect();
-    let rates = rates?;
-    if rates.is_empty() || rates.iter().any(|r| !(0.0..=1.0).contains(r)) {
-        return Err(ParseArgsError(format!(
-            "--rates needs comma-separated probabilities in [0, 1] — got {s:?}"
-        )));
     }
-    Ok(rates)
+
+    /// The `--chaos` fault-injection spec (no faults when absent).
+    fn chaos(&self) -> Result<univsa::ChaosSpec, ParseArgsError> {
+        match self.raw("chaos") {
+            Some(spec) => univsa::ChaosSpec::parse(spec)
+                .map_err(|e| ParseArgsError(format!("bad --chaos {spec:?}: {e}"))),
+            None => Ok(univsa::ChaosSpec::default()),
+        }
+    }
+
+    /// A regression gate: a non-negative number, or `none`/`off` to
+    /// disable it; `default` when absent.
+    fn gate(&self, name: &str, default: Option<f64>) -> Result<Option<f64>, ParseArgsError> {
+        match self.raw(name) {
+            None => Ok(default),
+            Some(v) if v.eq_ignore_ascii_case("none") || v.eq_ignore_ascii_case("off") => Ok(None),
+            Some(v) => match v.parse::<f64>() {
+                Ok(x) if x >= 0.0 && x.is_finite() => Ok(Some(x)),
+                _ => Err(ParseArgsError(format!(
+                    "bad --{name} {v:?} (want a non-negative number or `none`)"
+                ))),
+            },
+        }
+    }
 }
 
-fn parse_tuple5(s: &str) -> Result<(usize, usize, usize, usize, usize), ParseArgsError> {
-    let parts: Vec<&str> = s.split(',').collect();
-    if parts.len() != 5 {
-        return Err(ParseArgsError(format!(
-            "expected DH,DL,DK,O,THETA — got {s:?}"
-        )));
+/// Applies `flag`'s [`Check`] to a value that already parsed as its type.
+fn check(flag: &Flag, raw: &str) -> Result<(), ParseArgsError> {
+    let name = flag.name;
+    let number = || raw.parse::<f64>().unwrap_or(f64::NAN);
+    let fail = |message: String| Err(ParseArgsError(message));
+    match flag.check {
+        Check::Any => Ok(()),
+        Check::AtLeast(min) if number() < f64::from(min) => {
+            fail(format!("--{name} must be at least {min}"))
+        }
+        Check::Probability if !(0.0..=1.0).contains(&number()) => fail(format!(
+            "--{name} must be a probability in [0, 1] — got {}",
+            number()
+        )),
+        Check::NonEmpty if raw.trim().is_empty() => {
+            fail(format!("--{name} needs a non-empty {}", flag.metavar))
+        }
+        Check::AtLeast(_) | Check::Probability | Check::NonEmpty => Ok(()),
     }
-    let mut nums = [0usize; 5];
-    for (slot, part) in nums.iter_mut().zip(&parts) {
-        *slot = part
-            .trim()
-            .parse()
-            .map_err(|_| ParseArgsError(format!("bad number {part:?} in {s:?}")))?;
-    }
-    Ok((nums[0], nums[1], nums[2], nums[3], nums[4]))
+}
+
+fn missing(name: &str) -> ParseArgsError {
+    ParseArgsError(format!("missing required --{name}"))
 }
 
 #[cfg(test)]
@@ -1325,40 +1127,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_report_parses_with_defaults() {
-        assert_eq!(
-            Command::parse(&argv("fleet-report --task bci3v")).unwrap(),
-            Command::FleetReport {
-                task: "bci3v".into(),
-                workers: None,
-                jobs: 8,
-                seed: 42,
-                chaos: univsa::ChaosSpec::default(),
-            }
-        );
-        match Command::parse(&argv(
-            "fleet-report --task HAR --workers 3 --jobs 12 --seed 7 --chaos crash=0.2",
-        ))
-        .unwrap()
-        {
-            Command::FleetReport {
-                workers,
-                jobs,
-                chaos,
-                ..
-            } => {
-                assert_eq!(workers, Some(3));
-                assert_eq!(jobs, 12);
-                assert_eq!(chaos.crash, 0.2);
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        assert!(Command::parse(&argv("fleet-report")).is_err());
-        assert!(Command::parse(&argv("fleet-report --task T --jobs 0")).is_err());
-        assert!(Command::parse(&argv("fleet-report --task T --bogus 1")).is_err());
-    }
-
-    #[test]
     fn profile_mem_switch_parses_in_any_position() {
         for line in [
             "profile --task HAR --mem",
@@ -1373,28 +1141,6 @@ mod tests {
                 other => panic!("wrong parse for {line}: {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn memsnap_parses_task_and_seed() {
-        assert_eq!(
-            Command::parse(&argv("memsnap ISOLET")).unwrap(),
-            Command::Memsnap {
-                task: "ISOLET".into(),
-                seed: 42,
-            }
-        );
-        assert_eq!(
-            Command::parse(&argv("memsnap HAR --seed 7")).unwrap(),
-            Command::Memsnap {
-                task: "HAR".into(),
-                seed: 7,
-            }
-        );
-        assert!(Command::parse(&argv("memsnap")).is_err());
-        assert!(Command::parse(&argv("memsnap --seed 7")).is_err());
-        assert!(Command::parse(&argv("memsnap HAR --bogus 1")).is_err());
-        assert!(Command::parse(&argv("memsnap HAR --seed x")).is_err());
     }
 
     #[test]
@@ -1548,54 +1294,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_parses_matrix_with_defaults() {
-        assert_eq!(
-            Command::parse(&argv("chaos --task bci3v")).unwrap(),
-            Command::Chaos {
-                task: "bci3v".into(),
-                workers: vec![0, 2, 4],
-                crash: vec![0.0, 0.2],
-                corrupt: 0.05,
-                hang: 0.0,
-                population: 6,
-                generations: 2,
-                epochs: 1,
-                seed: 42,
-                surrogate: false,
-                listen: None,
-            }
-        );
-        match Command::parse(&argv(
-            "chaos --task HAR --workers 0,3 --crash 0,0.1,0.3 --corrupt 0 --hang 0.1",
-        ))
-        .unwrap()
-        {
-            Command::Chaos {
-                workers,
-                crash,
-                corrupt,
-                hang,
-                ..
-            } => {
-                assert_eq!(workers, vec![0, 3]);
-                assert_eq!(crash, vec![0.0, 0.1, 0.3]);
-                assert_eq!(corrupt, 0.0);
-                assert_eq!(hang, 0.1);
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn chaos_rejects_bad_values() {
-        assert!(Command::parse(&argv("chaos")).is_err());
-        assert!(Command::parse(&argv("chaos --task T --workers x")).is_err());
-        assert!(Command::parse(&argv("chaos --task T --crash 1.5")).is_err());
-        assert!(Command::parse(&argv("chaos --task T --corrupt 2")).is_err());
-        assert!(Command::parse(&argv("chaos --task T --hang -1")).is_err());
-    }
-
-    #[test]
     fn listen_flag_parses_on_long_running_subcommands() {
         match Command::parse(&argv("search --task HAR --listen :9188")).unwrap() {
             Command::Search { listen, .. } => assert_eq!(listen.as_deref(), Some(":9188")),
@@ -1607,10 +1305,6 @@ mod tests {
         }
         match Command::parse(&argv("profile --task HAR --listen :0")).unwrap() {
             Command::Profile { listen, .. } => assert_eq!(listen.as_deref(), Some(":0")),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        match Command::parse(&argv("chaos --task HAR --listen :0")).unwrap() {
-            Command::Chaos { listen, .. } => assert_eq!(listen.as_deref(), Some(":0")),
             other => panic!("wrong parse: {other:?}"),
         }
         // the value is required and must be non-empty; `infer` stays
@@ -1708,5 +1402,86 @@ mod tests {
         assert!(Command::parse(&argv("tasks extra")).is_err());
         assert!(Command::parse(&argv("train --task T --config 1,2,3 --out m")).is_err());
         assert!(Command::parse(&argv("infer positional")).is_err());
+    }
+
+    /// The usage synopsis entries, joined across wrapped lines:
+    /// subcommand name → its full synopsis line.
+    fn usage_entries() -> Vec<(String, String)> {
+        let text = usage();
+        let mut entries: Vec<(String, String)> = Vec::new();
+        for line in text.lines().skip_while(|l| *l != "USAGE:").skip(1) {
+            if line.is_empty() {
+                break;
+            }
+            match line.strip_prefix("  univsa ") {
+                Some(entry) => {
+                    let name = entry.split_whitespace().next().unwrap_or_default();
+                    entries.push((name.to_string(), entry.to_string()));
+                }
+                None => {
+                    let (_, synopsis) = entries.last_mut().expect("continuation line");
+                    synopsis.push(' ');
+                    synopsis.push_str(line.trim());
+                }
+            }
+        }
+        entries
+    }
+
+    #[test]
+    fn every_subcommand_in_the_table_rejects_unknown_flags_and_documents_its_own() {
+        let entries = usage_entries();
+        for spec in SUBCOMMANDS {
+            let mut line = vec![spec.name.to_string()];
+            line.extend(spec.positionals.iter().map(|_| "x".to_string()));
+            for f in spec.flags.iter().filter(|f| f.arity == Arity::Required) {
+                line.extend([format!("--{}", f.name), "x".into()]);
+            }
+            line.extend(["--bogus".into(), "1".into()]);
+            let err = Command::parse(&line).unwrap_err();
+            let expected = format!("unknown {} flag --bogus (expected one of", spec.name);
+            assert!(err.0.starts_with(&expected), "{line:?}: {err}");
+
+            let (_, synopsis) = entries
+                .iter()
+                .find(|(name, _)| name == spec.name)
+                .unwrap_or_else(|| panic!("no usage line for {}", spec.name));
+            let words: Vec<&str> = synopsis.split([' ', '[', ']']).collect();
+            for f in spec.flags {
+                let flag = format!("--{}", f.name);
+                assert!(words.contains(&flag.as_str()), "{flag} missing: {synopsis}");
+            }
+        }
+        // `univsa help` lists exactly the table's subcommands, plus help
+        let listed: Vec<&str> = entries.iter().map(|(name, _)| name.as_str()).collect();
+        let table: Vec<&str> = SUBCOMMANDS
+            .iter()
+            .map(|spec| spec.name)
+            .chain(["help"])
+            .collect();
+        assert_eq!(listed, table);
+    }
+
+    #[test]
+    fn usage_lists_every_kernel_tier() {
+        let text = usage();
+        for tier in KernelTier::ALL {
+            assert!(text.contains(tier.name()), "{}", tier.name());
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn non_utf8_argument_is_an_error_naming_its_position() {
+        use std::os::unix::ffi::OsStringExt;
+        let args = [
+            OsString::from("info"),
+            OsString::from("--model"),
+            OsString::from_vec(b"\xff.uvsa".to_vec()),
+        ];
+        let err = Command::parse_os(args).unwrap_err();
+        assert!(err.0.contains("argument 3 is not valid UTF-8"), "{err}");
+        let ok = Command::parse_os(["info", "--model", "m"].map(OsString::from)).unwrap();
+        assert_eq!(ok, Command::Info { model: "m".into() });
     }
 }

@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 
 use univsa::{
     is_packed_artifact, load_model, load_packed, save_model, save_packed, ChaosSpec, EpochStats,
-    FaultModel, FaultSpec, FaultTarget, FootprintAudit, Mask, PackedModel, TrainOptions,
-    UniVsaConfig, UniVsaError, UniVsaModel, UniVsaTrainer,
+    FaultModel, FaultSpec, FaultTarget, FootprintAudit, PackedModel, TrainOptions, UniVsaConfig,
+    UniVsaError, UniVsaModel, UniVsaTrainer,
 };
 use univsa_bench::diff;
 use univsa_data::{csv, Dataset, DriftSpec, TaskSpec};
@@ -19,9 +19,9 @@ use univsa_dist::{
 use univsa_hw::{
     export_weights, CostModel, HwConfig, HwReport, Pipeline, Protection, RtlGenerator, SeuOutcome,
 };
-use univsa_search::{EvolutionarySearch, Genome, SearchOptions, SearchResult, SearchSpace};
+use univsa_search::{EvolutionarySearch, Genome, SearchOptions, SearchSpace};
 
-use crate::args::USAGE;
+use crate::args::usage;
 use crate::Command;
 
 /// Runs a parsed command, writing human-readable output to `out`.
@@ -33,7 +33,7 @@ use crate::Command;
 pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
     match command {
         Command::Help => {
-            writeln!(out, "{USAGE}")?;
+            writeln!(out, "{}", usage())?;
             Ok(())
         }
         Command::Tasks => {
@@ -244,14 +244,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn
             listen.as_deref(),
             out,
         ),
-        Command::FleetReport {
-            task,
-            workers,
-            jobs,
-            seed,
-            chaos,
-        } => run_fleet_report(&task, workers, jobs, seed, chaos, out),
-        Command::Memsnap { task, seed } => run_memsnap(&task, seed, out),
         Command::Search {
             task,
             workers,
@@ -291,32 +283,6 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> Result<(), Box<dyn
             samples,
             seed,
             chaos,
-            listen.as_deref(),
-            out,
-        ),
-        Command::Chaos {
-            task,
-            workers,
-            crash,
-            corrupt,
-            hang,
-            population,
-            generations,
-            epochs,
-            seed,
-            surrogate,
-            listen,
-        } => run_chaos(
-            &task,
-            &workers,
-            &crash,
-            corrupt,
-            hang,
-            population,
-            generations,
-            epochs,
-            seed,
-            surrogate,
             listen.as_deref(),
             out,
         ),
@@ -378,8 +344,8 @@ fn run_bench_diff(
     Ok(())
 }
 
-/// Builds the fleet supervisor the `search`, `seu`, and `chaos`
-/// subcommands share: explicit `--workers` wins, then the
+/// Builds the fleet supervisor the `search`, `seu`, `quality`, and
+/// `profile` subcommands share: explicit `--workers` wins, then the
 /// `UNIVSA_WORKERS` environment variable, then in-process execution.
 fn fleet_supervisor(workers: Option<usize>, seed: u64, chaos: ChaosSpec) -> Supervisor {
     let workers = workers.or_else(univsa_dist::workers_from_env).unwrap_or(0);
@@ -473,54 +439,24 @@ fn report_fleet(report: &FleetReport) {
     );
 }
 
-/// Runs one evolutionary search with fitness evaluations sharded over
-/// the fleet, returning the (bit-deterministic) result and the fleet's
-/// accumulated robustness counters.
-fn search_with_fleet(
-    task: &univsa_data::Task,
-    population: usize,
-    generations: usize,
-    epochs: usize,
-    seed: u64,
-    kind: &'static str,
-    supervisor: &Supervisor,
-) -> Result<(SearchResult, FleetReport), UniVsaError> {
-    let space = SearchSpace::for_task(&task.spec);
-    let options = SearchOptions {
-        population,
-        generations,
-        elites: (population / 4).max(1),
-        ..SearchOptions::default()
-    };
-    let search = EvolutionarySearch::new(space, options);
-    let mut fleet_total = FleetReport::default();
-    let result = search.try_run_batched(seed, |pending| {
-        let jobs: Vec<Job> = pending
-            .iter()
-            .map(|genome| {
-                Ok(Job::new(
-                    kind,
-                    FitnessJob {
-                        task: task.spec.name.clone(),
-                        data_seed: seed,
-                        train_seed: seed,
-                        epochs,
-                        genome: *genome,
-                    }
-                    .encode()?,
-                ))
-            })
-            .collect::<Result<_, UniVsaError>>()?;
-        let (results, report) = supervisor.run_jobs(&jobs)?;
-        accumulate(&mut fleet_total, report);
-        results.iter().map(|bytes| decode_fitness(bytes)).collect()
-    })?;
-    Ok((result, fleet_total))
-}
-
 fn lookup_task(name: &str, seed: u64) -> Result<univsa_data::Task, UniVsaError> {
     univsa_data::tasks::by_name(name, seed)
         .ok_or_else(|| UniVsaError::Config(format!("unknown task {name:?}; run `univsa tasks`")))
+}
+
+/// A built-in task's paper (Table I) configuration, as a genome.
+fn paper_genome(spec: &TaskSpec) -> Result<Genome, UniVsaError> {
+    let (d_h, d_l, d_k, out_channels, voters) = univsa_data::tasks::paper_config_tuple(&spec.name)
+        .ok_or_else(|| {
+            UniVsaError::Config(format!("no paper configuration for task {:?}", spec.name))
+        })?;
+    Ok(Genome {
+        d_h,
+        d_l,
+        d_k,
+        out_channels,
+        voters,
+    })
 }
 
 /// Runs the paper's evolutionary configuration search with fitness
@@ -545,15 +481,36 @@ fn run_search(
     let task = lookup_task(task_name, seed)?;
     let kind = if surrogate { PROBE_KIND } else { FITNESS_KIND };
     let supervisor = fleet_supervisor(workers, seed, chaos);
-    let (result, report) = search_with_fleet(
-        &task,
+    let options = SearchOptions {
         population,
         generations,
-        epochs,
-        seed,
-        kind,
-        &supervisor,
-    )?;
+        elites: (population / 4).max(1),
+        ..SearchOptions::default()
+    };
+    let search = EvolutionarySearch::new(SearchSpace::for_task(&task.spec), options);
+    // the fleet's robustness counters, summed over every generation
+    let mut report = FleetReport::default();
+    let result = search.try_run_batched(seed, |pending| {
+        let jobs: Vec<Job> = pending
+            .iter()
+            .map(|genome| {
+                Ok(Job::new(
+                    kind,
+                    FitnessJob {
+                        task: task.spec.name.clone(),
+                        data_seed: seed,
+                        train_seed: seed,
+                        epochs,
+                        genome: *genome,
+                    }
+                    .encode()?,
+                ))
+            })
+            .collect::<Result<_, UniVsaError>>()?;
+        let (results, part) = supervisor.run_jobs(&jobs)?;
+        accumulate(&mut report, part);
+        results.iter().map(|bytes| decode_fitness(bytes)).collect()
+    })?;
     writeln!(
         out,
         "search {}: population {population}, {generations} generation(s), \
@@ -603,20 +560,7 @@ fn run_seu(
     // bind before the fleet spawns so worker telemetry forwarding is on
     let _metrics = start_metrics(listen)?;
     let task = lookup_task(task_name, seed)?;
-    let (d_h, d_l, d_k, o, theta) = univsa_data::tasks::paper_config_tuple(&task.spec.name)
-        .ok_or_else(|| {
-            UniVsaError::Config(format!(
-                "no paper configuration for task {:?}",
-                task.spec.name
-            ))
-        })?;
-    let genome = Genome {
-        d_h,
-        d_l,
-        d_k,
-        out_channels: o,
-        voters: theta,
-    };
+    let genome = paper_genome(&task.spec)?;
     let jobs: Vec<Job> = Protection::ALL
         .iter()
         .flat_map(|&protection| (0..trials).map(move |trial| (protection, trial)))
@@ -646,7 +590,13 @@ fn run_seu(
         "SEU campaign {}: paper config {:?}, rate {rate:e}, \
          {trials} trial(s) × {samples} sample(s), seed {seed}",
         task.spec.name,
-        (d_h, d_l, d_k, o, theta)
+        (
+            genome.d_h,
+            genome.d_l,
+            genome.d_k,
+            genome.out_channels,
+            genome.voters
+        )
     )?;
     writeln!(
         out,
@@ -667,99 +617,6 @@ fn run_seu(
         )?;
     }
     report_fleet(&report);
-    Ok(())
-}
-
-/// The fleet's self-check and CI gate: sweeps a worker-count × crash-rate
-/// matrix over the identical probe search and errors (→ nonzero process
-/// exit) unless every cell's result is bit-identical to the
-/// single-process, chaos-free baseline.
-#[allow(clippy::too_many_arguments)]
-fn run_chaos(
-    task_name: &str,
-    workers: &[usize],
-    crash: &[f64],
-    corrupt: f64,
-    hang: f64,
-    population: usize,
-    generations: usize,
-    epochs: usize,
-    seed: u64,
-    surrogate: bool,
-    listen: Option<&str>,
-    out: &mut dyn std::io::Write,
-) -> Result<(), Box<dyn Error>> {
-    // bind before the fleet spawns so worker telemetry forwarding is on
-    let _metrics = start_metrics(listen)?;
-    let task = lookup_task(task_name, seed)?;
-    let kind = if surrogate { PROBE_KIND } else { FITNESS_KIND };
-    let probe = |workers: usize, chaos: ChaosSpec| {
-        let supervisor = fleet_supervisor(Some(workers), seed, chaos);
-        search_with_fleet(
-            &task,
-            population,
-            generations,
-            epochs,
-            seed,
-            kind,
-            &supervisor,
-        )
-    };
-    let (baseline, _) = probe(0, ChaosSpec::default())?;
-    writeln!(
-        out,
-        "chaos matrix {}: population {population}, {generations} generation(s), \
-         {epochs} epoch(s)/eval, seed {seed}",
-        task.spec.name
-    )?;
-    writeln!(
-        out,
-        "baseline (in-process): fitness {:?}, {} evaluations",
-        baseline.fitness, baseline.evaluations
-    )?;
-    let mut mismatches = 0usize;
-    for &w in workers {
-        for &c in crash {
-            let chaos = ChaosSpec {
-                crash: c,
-                corrupt,
-                hang,
-                seed,
-                ..ChaosSpec::default()
-            };
-            let (result, report) = probe(w, chaos)?;
-            let identical = result == baseline;
-            if !identical {
-                mismatches += 1;
-            }
-            writeln!(
-                out,
-                "workers={w} crash={c}: {} ({} retries, {} timeouts, {} crashes, \
-                 {} corrupt frames)",
-                if identical {
-                    "bit-identical"
-                } else {
-                    "MISMATCH"
-                },
-                report.retries,
-                report.timeouts,
-                report.crashes,
-                report.corrupt_frames
-            )?;
-        }
-    }
-    if mismatches > 0 {
-        return Err(format!(
-            "chaos matrix failed: {mismatches} cell(s) diverged from the \
-             single-process baseline"
-        )
-        .into());
-    }
-    writeln!(
-        out,
-        "all {} cell(s) bit-identical to the baseline",
-        workers.len() * crash.len()
-    )?;
     Ok(())
 }
 
@@ -793,17 +650,9 @@ fn run_profile(
         univsa_telemetry::enable_tracing(univsa_telemetry::DEFAULT_TRACE_CAPACITY);
     }
     univsa_par::reset_stats();
-    let task = univsa_data::tasks::by_name(task, seed)
-        .ok_or_else(|| format!("unknown task {task:?}; run `univsa tasks`"))?;
-    let (d_h, d_l, d_k, o, theta) = univsa_data::tasks::paper_config_tuple(&task.spec.name)
-        .ok_or_else(|| format!("no paper configuration for task {:?}", task.spec.name))?;
-    let cfg = UniVsaConfig::for_task(&task.spec)
-        .d_h(d_h)
-        .d_l(d_l)
-        .d_k(d_k)
-        .out_channels(o)
-        .voters(theta)
-        .build()?;
+    let task = lookup_task(task, seed)?;
+    let genome = paper_genome(&task.spec)?;
+    let cfg = genome.to_config(&task.spec)?;
     let epochs = epochs.unwrap_or(if task.spec.features() <= 128 { 60 } else { 20 });
     let (pool_threads, source) = univsa_par::threads_and_source();
     writeln!(
@@ -971,13 +820,13 @@ fn run_profile(
     // they merge into this process's recorder before the trace is written
     let fleet_workers = workers.unwrap_or(0);
     if fleet_workers > 0 {
-        let genome = Genome {
-            d_h,
-            d_l,
-            d_k,
-            out_channels: o,
-            voters: theta,
-        };
+        // forwarding rides on the flight recorder: with telemetry off,
+        // record for this phase only, after the latency loop, so the
+        // per-slot table is populated and the percentiles stay unperturbed
+        let scoped_tracing = !univsa_telemetry::enabled();
+        if scoped_tracing {
+            univsa_telemetry::enable_tracing(univsa_telemetry::DEFAULT_TRACE_CAPACITY);
+        }
         let probe_jobs = (fleet_workers * 2).max(4);
         let jobs: Vec<Job> = (0..probe_jobs)
             .map(|i| {
@@ -1001,7 +850,11 @@ fn run_profile(
             "fleet: {probe_jobs} probe job(s) over {fleet_workers} worker slot(s) \
              (telemetry forwarded per slot)"
         )?;
+        write_fleet_table(&report, fleet_workers, out)?;
         report_fleet(&report);
+        if scoped_tracing {
+            drop(univsa_telemetry::take_recorder());
+        }
     }
     if let Some(path) = trace_path {
         let recorder = univsa_telemetry::take_recorder();
@@ -1035,68 +888,16 @@ fn run_profile(
     Ok(())
 }
 
-/// Runs probe jobs through the fleet with telemetry forwarding on and
-/// prints the per-slot summary table (jobs served, busy time, retries,
-/// allocations, peak heap) plus the fleet-wide rollups. Unlike the data
-/// subcommands this output is observability, not results — timings and
-/// allocation figures vary run to run.
-fn run_fleet_report(
-    task_name: &str,
-    workers: Option<usize>,
-    jobs: usize,
-    seed: u64,
-    chaos: ChaosSpec,
+/// Prints the fleet's per-slot table and rollup line. Jobs, retries and
+/// dropped telemetry batches are the supervisor's own per-slot counters
+/// (`report.slots`); busy time and allocation figures are forwarded
+/// worker telemetry, so they read 0 when forwarding is off. Timings and
+/// allocations vary run to run: this is observability, not results.
+fn write_fleet_table(
+    report: &FleetReport,
+    workers: usize,
     out: &mut dyn std::io::Write,
 ) -> Result<(), Box<dyn Error>> {
-    // worker-side forwarding rides on the flight recorder, so switch it
-    // on regardless of UNIVSA_TELEMETRY — the report must always have
-    // per-slot data
-    univsa_telemetry::enable_tracing(univsa_telemetry::DEFAULT_TRACE_CAPACITY);
-    let task = lookup_task(task_name, seed)?;
-    let (d_h, d_l, d_k, o, theta) = univsa_data::tasks::paper_config_tuple(&task.spec.name)
-        .ok_or_else(|| {
-            UniVsaError::Config(format!(
-                "no paper configuration for task {:?}",
-                task.spec.name
-            ))
-        })?;
-    let genome = Genome {
-        d_h,
-        d_l,
-        d_k,
-        out_channels: o,
-        voters: theta,
-    };
-    let workers = workers
-        .or_else(univsa_dist::workers_from_env)
-        .unwrap_or(2)
-        .max(1);
-    let job_list: Vec<Job> = (0..jobs)
-        .map(|i| {
-            Ok(Job::new(
-                PROBE_KIND,
-                FitnessJob {
-                    task: task.spec.name.clone(),
-                    data_seed: seed + i as u64,
-                    train_seed: seed,
-                    epochs: 1,
-                    genome,
-                }
-                .encode()?,
-            ))
-        })
-        .collect::<Result<_, UniVsaError>>()?;
-    let supervisor = fleet_supervisor(Some(workers), seed, chaos);
-    let (_, report) = supervisor.run_jobs(&job_list)?;
-    writeln!(
-        out,
-        "fleet report {}: {jobs} probe job(s) over {workers} worker slot(s), seed {seed}",
-        task.spec.name
-    )?;
-    // jobs / retries / dropped batches come from the supervisor's own
-    // per-slot counters (report.slots), so the table is populated even
-    // when UNIVSA_TELEMETRY is off; busy time and allocation figures are
-    // worker-forwarded telemetry
     writeln!(
         out,
         "{:>5}  {:>6}  {:>8}  {:>8}  {:>10}  {:>10}  {:>14}",
@@ -1129,7 +930,6 @@ fn run_fleet_report(
         univsa_telemetry::counter_value("fleet.peak_alloc_bytes"),
         report.telemetry_dropped
     )?;
-    report_fleet(&report);
     Ok(())
 }
 
@@ -1584,71 +1384,6 @@ fn run_quality(
     Ok(())
 }
 
-/// Builds a task's paper configuration from seeded random weights (no
-/// training — the footprint is weight-value independent) and prints the
-/// Eq. 5 memory breakdown, the footprint audit against the actual packed
-/// structures, and the BRAM count the calibrated cost model assigns.
-fn run_memsnap(task: &str, seed: u64, out: &mut dyn std::io::Write) -> Result<(), Box<dyn Error>> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use univsa_bits::BitMatrix;
-
-    let spec = univsa_data::tasks::by_name(task, seed)
-        .ok_or_else(|| format!("unknown task {task:?}; run `univsa tasks`"))?
-        .spec;
-    let (d_h, d_l, d_k, o, theta) = univsa_data::tasks::paper_config_tuple(&spec.name)
-        .ok_or_else(|| format!("no paper configuration for task {:?}", spec.name))?;
-    let cfg = UniVsaConfig::for_task(&spec)
-        .d_h(d_h)
-        .d_l(d_l)
-        .d_k(d_k)
-        .out_channels(o)
-        .voters(theta)
-        .build()?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mask = Mask::all_high(cfg.features());
-    let v_h = BitMatrix::random(cfg.levels, cfg.d_h, &mut rng);
-    let v_l = BitMatrix::random(cfg.levels, cfg.effective_d_l(), &mut rng);
-    let kernel = if cfg.enhancements.biconv {
-        (0..cfg.out_channels * cfg.d_k * cfg.d_k)
-            .map(|i| i as u64)
-            .collect()
-    } else {
-        vec![]
-    };
-    let f = BitMatrix::random(cfg.encoding_channels(), cfg.vsa_dim(), &mut rng);
-    let c = (0..cfg.effective_voters())
-        .map(|_| BitMatrix::random(cfg.classes, cfg.vsa_dim(), &mut rng))
-        .collect();
-    let model = UniVsaModel::from_parts(cfg, mask, v_h, v_l, kernel, f, c)?;
-
-    writeln!(
-        out,
-        "memory snapshot: {} — config {:?} (untrained seeded weights)",
-        spec.name,
-        model.config().tuple()
-    )?;
-    writeln!(out, "Eq. 5 breakdown (paper Table II memory column):")?;
-    for line in model.memory_report().breakdown().lines() {
-        writeln!(out, "  {line}")?;
-    }
-    let audit = FootprintAudit::of_model(&model);
-    audit.emit_gauges();
-    writeln!(out, "footprint audit (Eq. 5 vs. resident bits):")?;
-    for line in audit.render().lines() {
-        writeln!(out, "  {line}")?;
-    }
-    let cost = CostModel::calibrated();
-    let hw = HwConfig::new(model.config());
-    writeln!(
-        out,
-        "BRAM: {} block(s) for {:.2} KiB stored (calibrated cost model)",
-        cost.brams(&hw),
-        hw.stored_memory_kib()
-    )?;
-    Ok(())
-}
-
 /// Sweeps bit-flip fault rates over a loaded model and reports the
 /// accuracy of the unprotected, detect-and-reload, and TMR strategies,
 /// plus the hardware price of each protection scheme.
@@ -2047,33 +1782,6 @@ mod tests {
     }
 
     #[test]
-    fn memsnap_reconciles_eq5_against_resident_bits() {
-        let text = run_to_string(Command::Memsnap {
-            task: "ISOLET".into(),
-            seed: 42,
-        })
-        .unwrap();
-        // the paper's Table II figure for ISOLET, bit-exact
-        assert!(text.contains("66840"), "{text}");
-        assert!(text.contains("Eq. 5 breakdown"), "{text}");
-        assert!(text.contains("footprint audit"), "{text}");
-        assert!(text.contains("BRAM"), "{text}");
-        // D = 640 is word-aligned: feature/class rows store exactly their
-        // logical bits (ratio 1.000 appears in the audit table)
-        assert!(text.contains("1.000"), "{text}");
-    }
-
-    #[test]
-    fn memsnap_unknown_task_is_an_error() {
-        let err = run_to_string(Command::Memsnap {
-            task: "MNIST".into(),
-            seed: 1,
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("unknown task"));
-    }
-
-    #[test]
     fn search_runs_in_process_and_is_deterministic() {
         // the surrogate objective keeps this a fleet-machinery test, not
         // a debug-profile training marathon
@@ -2130,29 +1838,6 @@ mod tests {
         for name in ["unprotected", "parity-detect", "tmr"] {
             assert!(text.contains(name), "missing {name}: {text}");
         }
-    }
-
-    #[test]
-    fn chaos_matrix_passes_in_process() {
-        // the in-process cells exercise the full compare loop without
-        // spawning; process cells are covered by the fleet integration
-        // tests where `current_exe` is the real CLI binary
-        let text = run_to_string(Command::Chaos {
-            task: "bci3v".into(),
-            workers: vec![0],
-            crash: vec![0.0, 0.5],
-            corrupt: 0.1,
-            hang: 0.0,
-            population: 4,
-            generations: 1,
-            epochs: 1,
-            seed: 3,
-            surrogate: true,
-            listen: None,
-        })
-        .unwrap();
-        assert!(text.contains("baseline (in-process)"), "{text}");
-        assert!(text.contains("all 2 cell(s) bit-identical"), "{text}");
     }
 
     #[test]

@@ -11,14 +11,18 @@
 //!   breakdown, and estimated FPGA deployment cost.
 //! * `rtl`    — emit the parameterized Verilog bundle plus `$readmemh`
 //!   weight files for a saved model.
+//! * `compile` — lower a saved model into a standalone packed artifact.
+//! * `robustness` — sweep bit-flip fault rates over a saved model.
+//! * `profile` — train a task's paper configuration and time every layer
+//!   (training, inference, hardware, worker pool; `--mem` adds the
+//!   allocation table and footprint audit, `--workers N` a fleet phase
+//!   with a per-slot table).
 //! * `search` — run the paper's evolutionary configuration search, fanned
 //!   out over a supervised worker-process fleet (`--workers N` or the
-//!   `UNIVSA_WORKERS` environment variable).
+//!   `UNIVSA_WORKERS` environment variable); `--chaos` injects seeded
+//!   worker faults, and stdout stays bit-identical to `--workers 0`.
 //! * `seu`    — run seeded single-event-upset campaigns per protection
 //!   scheme, one fleet job per trial.
-//! * `chaos`  — the fleet's self-check: re-run the same search across a
-//!   worker-count × crash-rate matrix and fail unless every cell is
-//!   bit-identical to the single-process baseline.
 //! * `quality` — train a task's paper configuration and replay a seeded
 //!   (optionally drift-injected) prediction stream through the fleet,
 //!   reporting online accuracy, margin quantiles, calibration gap, and
@@ -28,9 +32,13 @@
 //!   or the `UNIVSA_METRICS_ADDR` environment variable): per-stage
 //!   throughput and latency percentiles, heap figures, and per-slot
 //!   fleet counters, refreshed between polls of `/snapshot.json`.
+//! * `bench-diff` — compare two perf_baseline reports and fail on a
+//!   regression.
 //! * `tasks`  — list the built-in synthetic benchmark tasks.
 //!
-//! The parsing layer is exposed for testing; `main.rs` is a thin shim.
+//! One flag table in `args.rs` drives both the parser and the usage
+//! synopsis. The parsing layer is exposed for testing; `main.rs` is a
+//! thin shim.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

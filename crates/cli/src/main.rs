@@ -18,8 +18,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = match Command::parse(&args) {
+    let command = match Command::parse_os(std::env::args_os().skip(1)) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");

@@ -270,29 +270,6 @@ fn seu_samples_wider_than_their_job_field_are_refused() {
     assert!(stderr.contains("samples = 4294967297"), "{stderr}");
 }
 
-#[test]
-fn chaos_subcommand_gates_the_matrix() {
-    let (stdout, stderr, ok) = run_cli(
-        &[
-            "chaos",
-            "--task",
-            "bci3v",
-            "--workers",
-            "0,2",
-            "--crash",
-            "0,0.25",
-            "--population",
-            "4",
-            "--generations",
-            "1",
-            "--surrogate",
-        ],
-        &[],
-    );
-    assert!(ok, "{stdout}\n{stderr}");
-    assert!(stdout.contains("all 4 cell(s) bit-identical"), "{stdout}");
-}
-
 /// Tentpole: the cross-process trace merges every worker's spans into
 /// one timeline — one Chrome-trace pid per worker slot (100 + slot),
 /// every worker span re-parented under a supervisor `dist.task` dispatch
@@ -388,6 +365,38 @@ fn fleet_trace_merges_worker_spans_under_dispatch_regions() {
     );
 }
 
+/// `profile --workers N` prints one row per worker slot, the rows' jobs
+/// add up to the probe jobs dispatched, and the fleet rollup follows —
+/// with telemetry off, because the fleet phase records on its own.
+#[test]
+fn profile_workers_prints_the_per_slot_fleet_table() {
+    let args = "profile --task bci3v --epochs 1 --samples 4 --workers 2";
+    let (stdout, stderr, ok) = run_cli(&args.split(' ').collect::<Vec<_>>(), &[]);
+    assert!(ok, "{stderr}");
+    // 2 workers dispatch max(2 * 2, 4) probe jobs
+    assert!(
+        stdout.contains("fleet: 4 probe job(s) over 2 worker slot(s)"),
+        "{stdout}"
+    );
+    let rows: Vec<Vec<&str>> = stdout
+        .lines()
+        .skip_while(|line| !line.trim_start().starts_with("slot"))
+        .skip(1)
+        .take_while(|line| !line.starts_with("fleet rollup"))
+        .map(|row| row.split_whitespace().collect())
+        .collect();
+    assert_eq!(rows.len(), 2, "one row per slot: {stdout}");
+    let jobs: u64 = rows
+        .iter()
+        .map(|cells| cells[1].parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(jobs, 4, "{stdout}");
+    assert!(stdout.contains("\nfleet rollup: 4 job(s), "), "{stdout}");
+    // recording was scoped to the fleet phase: the run still reports
+    // telemetry off, as it does without --workers
+    assert!(stdout.contains("telemetry: off"), "{stdout}");
+}
+
 /// Satellite: `UNIVSA_TELEMETRY=summary` surfaces the dist-layer and
 /// forwarded per-worker/fleet counters in the summary table on stderr.
 #[test]
@@ -458,4 +467,19 @@ fn cli_errors_exit_nonzero_with_one_line_message() {
     let (_, stderr, ok) = run_cli(&["info", "--model", "/nonexistent/model.uvsa"], &[]);
     assert!(!ok);
     assert!(stderr.contains("/nonexistent/model.uvsa"), "{stderr}");
+}
+
+#[cfg(unix)]
+#[test]
+fn non_utf8_argument_exits_1_with_a_typed_error() {
+    use std::ffi::OsStr;
+    use std::os::unix::ffi::OsStrExt;
+    let output = Command::new(EXE)
+        .args(["info", "--model"])
+        .arg(OsStr::from_bytes(b"\xff.uvsa"))
+        .output()
+        .expect("spawn univsa CLI");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("argument 3 is not valid UTF-8"), "{stderr}");
 }

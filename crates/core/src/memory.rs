@@ -93,8 +93,8 @@ impl MemoryReport {
         ]
     }
 
-    /// Renders the Eq. 5 component table as aligned text — the shape
-    /// `univsa memsnap` prints and the doc example exercises.
+    /// Renders the Eq. 5 component table as aligned text (the doc
+    /// example shows its shape).
     pub fn breakdown(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
